@@ -119,8 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--counting",
         choices=("array", "rtree", "direct", "bitmap", "auto"),
         default="array",
-        help="support-counting backend (Section 5.2; bitmap = packed "
-        "per-interval bitsets)",
+        help="support-counting backend for pass >= 3 super-candidates "
+        "(Section 5.2; bitmap = packed per-interval bitsets); pass 2 "
+        "always counts through 2-D prefix-sum pair plans",
     )
     mine.add_argument(
         "--partition-method",

@@ -63,7 +63,6 @@ class PairPassStage(PipelineStage):
     name = "pass_2"
     inputs = (
         "mapper",
-        "config",
         "frequent_items",
         "support_counts",
         "rangeable",
@@ -100,14 +99,11 @@ class PairPassStage(PipelineStage):
     @staticmethod
     def _count_pairs(context, buckets, pair_filter=None):
         a = context.artifacts
-        config = a["config"]
         return count_frequent_pairs(
             buckets,
             a["mapper"],
             a["rangeable"],
             a["min_count"],
-            backend=config.counting,
-            memory_budget_bytes=config.memory_budget_bytes,
             stats=a["counting_stats"],
             executor=context.executor,
             shards=context.shards,

@@ -501,16 +501,20 @@ class MinerConfig:
         or ``"cluster"`` (1-D k-means; the paper's future-work
         exploration for skewed data).
     counting:
-        Support-counting backend: ``"array"`` (multi-dimensional array with
-        prefix sums), ``"rtree"`` (R*-tree point queries), ``"direct"``
-        (per-candidate scans; reference), ``"bitmap"`` (packed per-interval
-        bitsets: ranges become two word-level operations plus a popcount),
-        or ``"auto"`` (paper's heuristic).
+        Support-counting backend for pass >= 3 super-candidates:
+        ``"array"`` (multi-dimensional array with prefix sums),
+        ``"rtree"`` (R*-tree point queries), ``"direct"`` (per-candidate
+        scans; reference), ``"bitmap"`` (packed per-interval bitsets:
+        ranges become two word-level operations plus a popcount), or
+        ``"auto"`` (paper's heuristic).  Pass 2 always counts through
+        2-D prefix-sum pair plans, whatever the backend.
     memory_budget_bytes:
-        The ``auto`` backend refuses the array when its cells would exceed
-        this budget, falling back to the R*-tree (Section 5.2 trade-off);
-        ``bitmap`` likewise charges its prefix-bitset tables against the
-        same budget and over-budget groups fall back to the R*-tree.
+        Applies to pass >= 3 super-candidates only.  The ``auto`` backend
+        refuses the array when its cells would exceed this budget,
+        falling back to the R*-tree (Section 5.2 trade-off); ``bitmap``
+        likewise charges its prefix-bitset tables against the same budget
+        and over-budget groups fall back to the R*-tree.  Pass-2 pair
+        plans are not charged against it.
     max_itemset_size:
         Optional cap on the number of items per itemset (``None`` = run
         until no candidates remain, as in the paper).

@@ -16,7 +16,13 @@ integers that sum to the exact global counts.  Backend resolution
 before any fan-out, so the shard layout can never change which structure
 answers a group.
 
-Three interchangeable backends answer "how many points fall in each
+Pass 2 has one counting path for every backend: each attribute pair's
+full cross product of frequent items is answered by one 2-D prefix-sum
+plan (:func:`count_frequent_pairs`).  The backends below, and the memory
+budget ``choose_backend`` charges them against, decide pass >= 3
+super-candidate counting (:func:`count_itemsets`) only.
+
+Interchangeable backends answer "how many points fall in each
 rectangle":
 
 ``array``
@@ -509,7 +515,8 @@ class CountingStats:
     ``"direct"``, ``"bitmap"`` or the pure-categorical ``"mask"``
     pseudo-backend — so an explicit request that partially fell back
     (e.g. ``bitmap`` groups over budget landing on ``rtree``) is visible
-    in the tally.
+    in the tally.  Each pass-2 attribute-pair plan counts as one
+    ``"array"`` group.
     """
 
     groups_by_backend: dict = field(default_factory=dict)
@@ -592,8 +599,14 @@ def count_itemsets(
 
 
 @dataclass
-class _QuantQuantPlan:
-    """Both attributes quantitative: one cross-product prefix-sum query."""
+class _PairPlan:
+    """One attribute pair's cross product, answered by one 2-D prefix sum.
+
+    A categorical item is a range with ``lo == hi``, so quantitative,
+    categorical and mixed pairs alike build one joint histogram over the
+    pair and answer every item combination with one outer-indexed
+    inclusion–exclusion (:meth:`PrefixSumCounter.count_cross`).
+    """
 
     attrs: tuple
     items_a: list
@@ -601,9 +614,12 @@ class _QuantQuantPlan:
 
     def shard_counts(self, view) -> np.ndarray:
         counter = PrefixSumCounter(view, self.attrs)
-        ranges_a = [(it.lo, it.hi) for it in self.items_a]
-        ranges_b = [(it.lo, it.hi) for it in self.items_b]
-        return counter.count_cross([ranges_a, ranges_b])
+        return counter.count_cross(
+            [
+                [(it.lo, it.hi) for it in self.items_a],
+                [(it.lo, it.hi) for it in self.items_b],
+            ]
+        )
 
     def emit(self, counts, min_count, out, stats) -> None:
         if stats is not None:
@@ -612,94 +628,13 @@ class _QuantQuantPlan:
             out[(self.items_a[ia], self.items_b[ib])] = int(counts[ia, ib])
 
 
-@dataclass
-class _CatCatPlan:
-    """Both attributes categorical: a joint histogram lookup."""
+def build_pair_plans(item_buckets: dict, pair_filter=None):
+    """One :class:`_PairPlan` per attribute pair, plus the candidate tally.
 
-    attrs: tuple
-    items_a: list
-    items_b: list
-
-    def shard_counts(self, view) -> np.ndarray:
-        a, b = self.attrs
-        shape = (view.cardinality(a), view.cardinality(b))
-        flat = np.ravel_multi_index(
-            (view.column(a), view.column(b)), shape
-        )
-        return np.bincount(
-            flat, minlength=shape[0] * shape[1]
-        ).reshape(shape)
-
-    def emit(self, table, min_count, out, stats) -> None:
-        if stats is not None:
-            stats.record("array")
-        for ia in self.items_a:
-            for ib in self.items_b:
-                count = int(table[ia.lo, ib.lo])
-                if count >= min_count:
-                    out[(ia, ib)] = count
-
-
-@dataclass
-class _CatQuantPlan:
-    """Mixed pair: one masked 1-D prefix-sum counter per categorical value."""
-
-    cat_items: list
-    quant_items: list
-
-    def shard_counts(self, view) -> np.ndarray:
-        ranges = [(it.lo, it.hi) for it in self.quant_items]
-        quant_attr = self.quant_items[0].attribute
-        rows = [
-            PrefixSumCounter(
-                view,
-                (quant_attr,),
-                view.column(cat_item.attribute) == cat_item.lo,
-            ).count_cross([ranges])
-            for cat_item in self.cat_items
-        ]
-        return np.stack(rows)
-
-    def emit(self, counts, min_count, out, stats) -> None:
-        for row, cat_item in zip(counts, self.cat_items):
-            if stats is not None:
-                stats.record("array")
-            for (iq,) in np.argwhere(row >= min_count):
-                quant_item = self.quant_items[iq]
-                itemset = tuple(sorted((cat_item, quant_item)))
-                out[itemset] = int(row[iq])
-
-
-@dataclass
-class _ExplicitPlan:
-    """rtree/direct/bitmap path: the pair's candidates counted per group."""
-
-    groups: list
-    backends: list
-
-    def shard_counts(self, view) -> list:
-        return count_groups(self.groups, self.backends, view)
-
-    def emit(self, per_group, min_count, out, stats) -> None:
-        for group, resolved, counts in zip(
-            self.groups, self.backends, per_group
-        ):
-            if stats is not None:
-                stats.record(resolved)
-            for itemset, count in zip(group.candidates, counts):
-                if count >= min_count:
-                    out[itemset] = int(count)
-
-
-def build_pair_plans(
-    item_buckets: dict,
-    mapper: TableMapper,
-    quantitative: set,
-    backend: str = "array",
-    memory_budget_bytes: int = 256 * 1024 * 1024,
-    pair_filter=None,
-):
-    """One plan per attribute pair, plus the pass-2 candidate tally.
+    Pass 2 has a single counting path: every pair is answered by its
+    prefix-sum plan whatever ``counting`` backend the run requested —
+    backends and the memory budget only decide pass >= 3 super-candidate
+    counting (:func:`count_itemsets`).
 
     ``pair_filter``, when given, is a predicate over an attribute pair
     ``(a, b)`` with ``a < b``; pairs it rejects contribute no plan and no
@@ -715,49 +650,13 @@ def build_pair_plans(
                 continue
             items_a, items_b = item_buckets[a], item_buckets[b]
             num_candidates += len(items_a) * len(items_b)
-            if backend in ("rtree", "direct", "bitmap"):
-                explicit = [(ia, ib) for ia in items_a for ib in items_b]
-                groups = group_candidates(explicit, quantitative)
-                plans.append(
-                    _ExplicitPlan(
-                        groups,
-                        resolve_group_backends(
-                            groups, mapper, backend, memory_budget_bytes
-                        ),
-                    )
-                )
-                continue
-            a_quant, b_quant = a in quantitative, b in quantitative
-            if a_quant and b_quant:
-                plans.append(
-                    _QuantQuantPlan((a, b), list(items_a), list(items_b))
-                )
-            elif not a_quant and not b_quant:
-                plans.append(
-                    _CatCatPlan((a, b), list(items_a), list(items_b))
-                )
-            else:
-                cat_items, quant_items = (
-                    (items_a, items_b) if b_quant else (items_b, items_a)
-                )
-                plans.append(
-                    _CatQuantPlan(list(cat_items), list(quant_items))
-                )
+            plans.append(_PairPlan((a, b), list(items_a), list(items_b)))
     return plans, num_candidates
 
 
 def _count_pairs_shard(view, plans):
     """Shard worker: raw counts for every pair plan on one shard."""
     return [plan.shard_counts(view) for plan in plans]
-
-
-def _merge_pair_counts(left, right):
-    if isinstance(left, np.ndarray):
-        return left + right
-    return [
-        [a + b for a, b in zip(l_row, r_row)]
-        for l_row, r_row in zip(left, right)
-    ]
 
 
 def count_frequent_pairs(
@@ -782,11 +681,14 @@ def count_frequent_pairs(
 
     The pass-2 candidate set is the cross product of frequent items over
     every attribute pair, which can be orders of magnitude larger than the
-    surviving L_2.  The ``array`` path answers whole cross products with
-    outer-indexed inclusion–exclusion and materializes only the frequent
-    pairs; ``rtree``/``direct``/``bitmap`` materialize each group's
-    candidates (they remain available for validation and the counting
-    ablation, and the bitmap index amortizes the materialized groups).
+    surviving L_2.  Each pair is answered by one :class:`_PairPlan`: a
+    2-D prefix-sum table and one outer-indexed inclusion–exclusion over
+    the whole cross product, materializing only the frequent pairs.
+
+    Pass 2 counts the same way under every backend: ``quantitative``,
+    ``backend`` and ``memory_budget_bytes`` stay in the signature for
+    existing callers but are not read here — the backend choice and the
+    memory budget apply to pass >= 3 super-candidates only.
 
     With an ``executor``/``shards`` pair, each shard computes raw counts
     for every plan, the per-shard counts are summed, and the minimum-count
@@ -795,12 +697,7 @@ def count_frequent_pairs(
     Returns ``(frequent: dict, num_candidates: int)``.
     """
     plans, num_candidates = build_pair_plans(
-        item_buckets,
-        mapper,
-        quantitative,
-        backend,
-        memory_budget_bytes,
-        pair_filter=pair_filter,
+        item_buckets, pair_filter=pair_filter
     )
     frequent: dict = {}
     if not plans:
@@ -825,10 +722,7 @@ def count_frequent_pairs(
         )
         merged = per_shard[0]
         for shard_result in per_shard[1:]:
-            merged = [
-                _merge_pair_counts(m, s)
-                for m, s in zip(merged, shard_result)
-            ]
+            merged = [m + s for m, s in zip(merged, shard_result)]
     for plan, counts in zip(plans, merged):
         plan.emit(counts, min_count, frequent, stats)
     return frequent, num_candidates

@@ -30,14 +30,17 @@ Wire protocol (the worker side lives in
   :class:`~repro.engine.shard_cache.ShardCountCache` key, so worker
   disk artifacts survive across sweeps and coordinator restarts).
 
-Failure semantics: a connection error, timeout or error response marks
-the worker dead for the rest of the run and the task is retried on
-the surviving workers with exponential backoff; an ``unknown shard
-view`` 404 (worker restarted) triggers one republish instead.  When
-every worker is dead, ``fallback_local=True`` (the default) counts the
-remaining shards in-process — the merge contract keeps the result
-bit-identical either way — while ``fallback_local=False`` raises
-:class:`RemoteDispatchError`.
+Failure semantics: a connection error or error response marks the
+worker dead for the rest of the run and the task is retried on the
+surviving workers with exponential backoff; an ``unknown shard view``
+404 (worker restarted) triggers one republish instead.  A request that
+times out first probes the worker's ``GET /healthz`` with a short
+timeout: a worker that answers is slow, not dead — it stays in the
+fleet and only the task is retried — while one that does not answer is
+marked dead.  When every worker is dead, ``fallback_local=True`` (the
+default) counts the remaining shards in-process — the merge contract
+keeps the result bit-identical either way — while
+``fallback_local=False`` raises :class:`RemoteDispatchError`.
 
 Trust model: pickled payloads cross the wire, so worker mode is meant
 for a private network you control.  Workers only accept
@@ -75,6 +78,10 @@ DEFAULT_MAX_RETRIES = 3
 
 #: Base of the exponential backoff between retries, seconds.
 DEFAULT_BACKOFF_SECONDS = 0.1
+
+#: Upper bound on the ``GET /healthz`` probe that tells a slow worker
+#: from a dead one after a task timeout, seconds.
+HEALTH_PROBE_TIMEOUT = 2.0
 
 #: Module prefixes :func:`restricted_loads` will resolve classes from.
 _ALLOWED_PICKLE_MODULES = ("repro", "numpy", "builtins", "collections")
@@ -174,11 +181,16 @@ class _WorkerClient:
 
     def request(
         self, method: str, path: str, body, content_type: str,
-        headers=None,
+        headers=None, timeout=None,
     ):
-        """One HTTP round-trip; returns ``(status, parsed-JSON body)``."""
+        """One HTTP round-trip; returns ``(status, parsed-JSON body)``.
+
+        ``timeout`` overrides the client's task timeout for this call.
+        """
         connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
+            self.host,
+            self.port,
+            timeout=self.timeout if timeout is None else timeout,
         )
         request_headers = {"Content-Type": content_type}
         if headers:
@@ -200,6 +212,17 @@ class _WorkerClient:
             payload = {}
         return response.status, payload
 
+    def answers_health_probe(self) -> bool:
+        """Whether ``GET /healthz`` answers 200 within a short timeout."""
+        try:
+            status, _ = self.request(
+                "GET", "/healthz", None, "application/json",
+                timeout=min(self.timeout, HEALTH_PROBE_TIMEOUT),
+            )
+        except (OSError, http.client.HTTPException):
+            return False
+        return status == 200
+
 
 class RemoteExecutor(Executor):
     """Fan shard counting out to worker servers over HTTP.
@@ -210,8 +233,9 @@ class RemoteExecutor(Executor):
         ``host:port`` addresses of servers started with
         ``quantrules serve --worker``.
     task_timeout:
-        Per-request wall-clock budget in seconds; a worker that blows
-        it is marked dead and its task retried elsewhere.
+        Per-request wall-clock budget in seconds.  A task that blows it
+        is retried elsewhere; its worker is marked dead only if it then
+        fails a short ``GET /healthz`` probe too.
     max_retries:
         Retries per shard task after its first failure, across the
         surviving workers.
@@ -427,11 +451,14 @@ class RemoteExecutor(Executor):
 
         Returns ``(result, seconds, lane)``.  Worker choice starts
         round-robin on the task index and walks the live set; every
-        failure marks the worker dead, bumps the retry counters,
-        records a ``remote_retry`` event on the task's dispatch span
-        and backs off exponentially until ``max_retries`` is spent,
-        after which the local fallback (or
-        :class:`RemoteDispatchError`) decides the task.
+        failure bumps the retry counters, records a ``remote_retry``
+        event on the task's dispatch span and backs off exponentially
+        until ``max_retries`` is spent, after which the local fallback
+        (or :class:`RemoteDispatchError`) decides the task.  A failure
+        marks the worker dead unless it was a timeout and the worker
+        still answers its health probe: that worker is only slow, so
+        it stays live and the task counts as a ``remote.slow_tasks``
+        counter tick and a ``remote_slow`` event span.
         """
         request = {
             "view": view_fp,
@@ -464,11 +491,14 @@ class RemoteExecutor(Executor):
                 worker = self._pick_worker(index + failures)
                 if worker is None:
                     break
+                timed_out = False
                 try:
                     self._ensure_published(worker, view_fp, registry)
                     outcome = self._count_on(
                         worker, view_fp, body, registry, headers
                     )
+                except TimeoutError:
+                    outcome, timed_out = None, True
                 except (OSError, RemoteDispatchError):
                     outcome = None
                 if outcome is not None:
@@ -495,7 +525,19 @@ class RemoteExecutor(Executor):
                         cache="hit" if cached else "miss",
                     )
                     return result, seconds, f"remote/{worker.address}"
-                self._mark_dead(worker, stage_info, registry)
+                if timed_out and worker.answers_health_probe():
+                    registry.counter(
+                        "remote.slow_tasks", labels={"worker": worker.address}
+                    ).increment()
+                    tracer.record(
+                        "remote_slow",
+                        kind="event",
+                        parent=span,
+                        worker=worker.address,
+                        attempt=failures + 1,
+                    )
+                else:
+                    self._mark_dead(worker, stage_info, registry)
                 failures += 1
                 if failures <= self.max_retries:
                     with self._lock:

@@ -274,18 +274,39 @@ class TestCountFrequentPairs:
         assert num_candidates == expected_candidates
         assert fast == slow
 
-    @pytest.mark.parametrize("backend", ["rtree", "bitmap"])
+    @pytest.mark.parametrize("backend", ["rtree", "direct", "bitmap"])
     def test_explicit_backends_agree(self, mapper, backend):
+        # The Section 5.2 structures are the pair plan's oracles: count
+        # every materialized pass-2 candidate through the backend's own
+        # per-group path, threshold, and demand the same frequent pairs.
         from repro.core.candidates import pairs_by_attribute
 
         freq = self._frequent_items(mapper)
         buckets = pairs_by_attribute(freq.supports)
         min_count = 0.1 * mapper.num_records
-        fast, __ = count_frequent_pairs(buckets, mapper, {0, 1}, min_count)
-        slow, __ = count_frequent_pairs(
-            buckets, mapper, {0, 1}, min_count, backend=backend
+        fast, num_candidates = count_frequent_pairs(
+            buckets, mapper, {0, 1}, min_count
         )
-        assert fast == slow
+        attrs = sorted(buckets)
+        candidates = [
+            make_itemset([ia, ib])
+            for i, a in enumerate(attrs)
+            for b in attrs[i + 1:]
+            for ia in buckets[a]
+            for ib in buckets[b]
+        ]
+        stats = CountingStats()
+        counts = count_itemsets(
+            candidates, mapper, {0, 1}, backend, stats=stats
+        )
+        oracle = {
+            itemset: count
+            for itemset, count in counts.items()
+            if count >= min_count
+        }
+        assert stats.groups_by_backend.get(backend, 0) > 0
+        assert num_candidates == len(candidates)
+        assert fast == oracle
 
     def test_categorical_mask_none_for_empty(self, mapper):
         assert categorical_mask(mapper, ()) is None
@@ -293,3 +314,37 @@ class TestCountFrequentPairs:
     def test_categorical_mask_selects_records(self, mapper):
         mask = categorical_mask(mapper, (Item(2, 1, 1),))
         np.testing.assert_array_equal(mask, mapper.column(2) == 1)
+
+
+class TestPassTwoSinglePath:
+    """Pass 2 counts through the pair plans under every backend."""
+
+    @pytest.fixture(scope="class")
+    def fine_table(self):
+        from repro.data import generate_credit_table
+
+        # 67 base intervals per quantitative attribute at the default
+        # K=1.5: ~717k pass-2 candidates.
+        return generate_credit_table(600, seed=11)
+
+    @pytest.mark.parametrize("backend", ["rtree", "direct", "bitmap"])
+    def test_backend_mines_pass_two_like_array(self, fine_table, backend):
+        from repro.core import QuantitativeMiner
+
+        base = {
+            "min_support": 0.3,
+            "min_confidence": 0.5,
+            "max_itemset_size": 2,
+        }
+        reference = QuantitativeMiner(
+            fine_table, MinerConfig(**base, counting="array")
+        ).mine()
+        result = QuantitativeMiner(
+            fine_table, MinerConfig(**base, counting=backend)
+        ).mine()
+        assert list(result.support_counts.items()) == list(
+            reference.support_counts.items()
+        )
+        tally = result.stats.counting_groups_by_backend
+        assert set(tally) == {"array"}
+        assert tally == reference.stats.counting_groups_by_backend

@@ -53,6 +53,15 @@ BASE = {
     "max_itemset_size": 2,
 }
 
+#: Coarse partitions and a lower support reach pass 3 with candidates,
+#: so non-array backends count super-candidate groups on the workers.
+PASS_3 = {
+    "min_support": 0.2,
+    "min_confidence": 0.5,
+    "max_itemset_size": 3,
+    "num_partitions": 6,
+}
+
 
 # ----------------------------------------------------------------------
 # Worker fleet plumbing
@@ -98,17 +107,18 @@ class Fleet:
 def fleet():
     built = []
 
-    def build(num_workers=2, fail_after_counts=()):
-        workers = [
-            ShardWorker(
-                fail_after_counts=(
-                    fail_after_counts[i]
-                    if i < len(fail_after_counts)
-                    else None
+    def build(num_workers=2, fail_after_counts=(), workers=None):
+        if workers is None:
+            workers = [
+                ShardWorker(
+                    fail_after_counts=(
+                        fail_after_counts[i]
+                        if i < len(fail_after_counts)
+                        else None
+                    )
                 )
-            )
-            for i in range(num_workers)
-        ]
+                for i in range(num_workers)
+            ]
         group = Fleet(workers)
         built.append(group)
         return group
@@ -116,6 +126,28 @@ def fleet():
     yield build
     for group in built:
         group.close()
+
+
+class SlowOnceWorker(ShardWorker):
+    """A live worker whose first count outlasts the coordinator's timeout.
+
+    The stalled request is released once the test is done, so the
+    handler thread never outlives the fleet.
+    """
+
+    def __init__(self, delay: float) -> None:
+        super().__init__()
+        self.delay = delay
+        self.release = threading.Event()
+        self._stalled = False
+        self._stall_lock = threading.Lock()
+
+    def count(self, request, *, traceparent=None):
+        with self._stall_lock:
+            stall, self._stalled = not self._stalled, True
+        if stall:
+            self.release.wait(self.delay)
+        return super().count(request, traceparent=traceparent)
 
 
 def remote_config(base, addresses, observability=None, **remote_overrides):
@@ -508,6 +540,69 @@ class TestEquivalence:
         assert retry_events
         span_ids = {s.span_id for s in spans}
         assert all(e.parent_id in span_ids for e in retry_events)
+
+    @pytest.mark.parametrize("backend", ["bitmap", "direct"])
+    def test_pass_3_groups_counted_on_workers(self, fleet, table, backend):
+        serial = QuantitativeMiner(
+            table, MinerConfig(**PASS_3, counting=backend)
+        ).mine()
+        assert len(serial.stats.passes) >= 3
+        assert serial.stats.passes[2].num_candidates > 0
+        group = fleet(num_workers=2)
+        remote = QuantitativeMiner(
+            table,
+            remote_config(dict(PASS_3, counting=backend), group.addresses),
+        ).mine()
+        assert_same_mining(remote, serial)
+        assert list(remote.support_counts) == list(serial.support_counts)
+        assert remote.stats.counting_groups_by_backend.get(backend, 0) > 0
+        execution = remote.stats.execution
+        assert execution.remote_worker_deaths == 0
+        assert execution.remote_local_fallbacks == 0
+        assert set(execution.remote_worker_tasks) == set(group.addresses)
+
+    def test_slow_worker_is_not_marked_dead(self, fleet, table):
+        # Worker 0 stalls its first count past the task timeout but
+        # keeps answering /healthz: the coordinator retries the task on
+        # worker 1, keeps worker 0 in the fleet, and says so in the
+        # telemetry instead of counting a death.  PASS_3's small count
+        # payloads keep every other request far inside the timeout.
+        serial = QuantitativeMiner(table, MinerConfig(**PASS_3)).mine()
+        slow = SlowOnceWorker(delay=30.0)
+        group = fleet(workers=[slow, ShardWorker()])
+        config = remote_config(
+            PASS_3,
+            group.addresses,
+            observability={"enabled": True},
+            task_timeout=1.0,
+            backoff_seconds=0.01,
+        )
+        try:
+            remote = QuantitativeMiner(table, config).mine()
+        finally:
+            slow.release.set()
+        assert_same_mining(remote, serial)
+        assert list(remote.support_counts) == list(serial.support_counts)
+        execution = remote.stats.execution
+        assert execution.remote_worker_deaths == 0
+        assert execution.remote_retries >= 1
+        slow_address = group.addresses[0]
+        assert execution.remote_worker_tasks[slow_address] > 0
+        counters = remote.observability.metrics.snapshot()["counters"]
+        assert counters[f'remote.slow_tasks{{worker="{slow_address}"}}'] > 0
+        assert f'remote.dead_workers{{worker="{slow_address}"}}' not in (
+            counters
+        )
+        spans = remote.observability.tracer.spans()
+        dispatch_ids = {
+            s.span_id for s in spans if s.kind == "remote_dispatch"
+        }
+        slow_events = [
+            s for s in spans
+            if s.kind == "event" and s.name == "remote_slow"
+        ]
+        assert slow_events
+        assert all(e.parent_id in dispatch_ids for e in slow_events)
 
     def test_whole_fleet_dead_falls_back_local(
         self, table, serial_results
