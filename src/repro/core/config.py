@@ -149,16 +149,19 @@ class RemoteConfig:
         comma-separated string.  Required when
         ``execution.executor`` is ``"remote"``.
     task_timeout:
-        Per shard-count request wall-clock budget in seconds; a worker
-        exceeding it is marked dead and the task retried elsewhere.
+        Per shard-count request wall-clock budget in seconds.  The task
+        is retried on another worker, never the same one; the slow
+        worker is marked dead only if it also fails a short
+        ``GET /healthz`` probe.
     max_retries:
         Retries per shard task after its first failure, spread over
         the surviving workers.
     backoff_seconds:
         Base of the exponential backoff slept between retries.
     fallback_local:
-        Whether the coordinator counts remaining shards in-process
-        once every worker is dead (``True``, the default — the run
+        Whether the coordinator counts a shard in-process once no
+        live worker is left to try it — every worker dead, or the
+        shard timed out on each live one (``True``, the default — the run
         completes with bit-identical output) or fails fast with a
         :class:`~repro.engine.remote.RemoteDispatchError` (``False``).
 

@@ -36,10 +36,11 @@ surviving workers with exponential backoff; an ``unknown shard view``
 404 (worker restarted) triggers one republish instead.  A request that
 times out first probes the worker's ``GET /healthz`` with a short
 timeout: a worker that answers is slow, not dead — it stays in the
-fleet and only the task is retried — while one that does not answer is
-marked dead.  When every worker is dead, ``fallback_local=True`` (the
-default) counts the remaining shards in-process — the merge contract
-keeps the result bit-identical either way — while
+fleet and only the task is retried, never again on that worker — while
+one that does not answer is marked dead.  When the task has no live
+worker left to try (every worker dead, or the task timed out on each
+live one), ``fallback_local=True`` (the default) counts it in-process —
+the merge contract keeps the result bit-identical either way — while
 ``fallback_local=False`` raises :class:`RemoteDispatchError`.
 
 Trust model: pickled payloads cross the wire, so worker mode is meant
@@ -234,18 +235,20 @@ class RemoteExecutor(Executor):
         ``quantrules serve --worker``.
     task_timeout:
         Per-request wall-clock budget in seconds.  A task that blows it
-        is retried elsewhere; its worker is marked dead only if it then
-        fails a short ``GET /healthz`` probe too.
+        is retried on another worker (never the same one); its worker is
+        marked dead only if it then fails a short ``GET /healthz`` probe
+        too.
     max_retries:
         Retries per shard task after its first failure, across the
         surviving workers.
     backoff_seconds:
         Base of the exponential backoff slept between retries.
     fallback_local:
-        Count shards in-process once every worker is dead (``True``,
-        the default — the run completes with identical output) or
-        raise :class:`RemoteDispatchError` (``False`` — fail fast so an
-        operator notices the fleet is gone).
+        Count a shard in-process once no live worker is left to try
+        it — every worker dead, or the shard timed out on each live
+        one (``True``, the default — the run completes with identical
+        output) or raise :class:`RemoteDispatchError` (``False`` — fail
+        fast so an operator notices the fleet is gone).
 
     Only the record-sharded counting surface
     (:meth:`map_shards`, discovered by
@@ -453,12 +456,15 @@ class RemoteExecutor(Executor):
         round-robin on the task index and walks the live set; every
         failure bumps the retry counters, records a ``remote_retry``
         event on the task's dispatch span and backs off exponentially
-        until ``max_retries`` is spent, after which the local fallback
-        (or :class:`RemoteDispatchError`) decides the task.  A failure
+        until ``max_retries`` is spent or no live worker is left to
+        try, after which the local fallback (or
+        :class:`RemoteDispatchError`) decides the task.  A failure
         marks the worker dead unless it was a timeout and the worker
         still answers its health probe: that worker is only slow, so
-        it stays live and the task counts as a ``remote.slow_tasks``
-        counter tick and a ``remote_slow`` event span.
+        it stays live, the task counts as a ``remote.slow_tasks``
+        counter tick and a ``remote_slow`` event span, and this task is
+        not sent to it again.  A task therefore times out at most once
+        per worker.
         """
         request = {
             "view": view_fp,
@@ -487,10 +493,9 @@ class RemoteExecutor(Executor):
                     )
                 }
             failures = 0
-            while failures <= self.max_retries:
-                worker = self._pick_worker(index + failures)
-                if worker is None:
-                    break
+            timed_out_on = set()
+            worker = self._pick_worker(index, timed_out_on)
+            while worker is not None:
                 timed_out = False
                 try:
                     self._ensure_published(worker, view_fp, registry)
@@ -526,6 +531,7 @@ class RemoteExecutor(Executor):
                     )
                     return result, seconds, f"remote/{worker.address}"
                 if timed_out and worker.answers_health_probe():
+                    timed_out_on.add(worker.address)
                     registry.counter(
                         "remote.slow_tasks", labels={"worker": worker.address}
                     ).increment()
@@ -539,24 +545,26 @@ class RemoteExecutor(Executor):
                 else:
                     self._mark_dead(worker, stage_info, registry)
                 failures += 1
+                failed, worker = worker, None
                 if failures <= self.max_retries:
-                    with self._lock:
-                        stage_info["retries"] += 1
-                    registry.counter("remote.retries").increment()
-                    registry.counter(
-                        "remote.retries", labels={"worker": worker.address}
-                    ).increment()
-                    tracer.record(
-                        "remote_retry",
-                        kind="event",
-                        parent=span,
-                        worker=worker.address,
-                        attempt=failures,
-                    )
-                    if self.backoff_seconds:
-                        time.sleep(
-                            self.backoff_seconds * (2 ** (failures - 1))
-                        )
+                    worker = self._pick_worker(index + failures, timed_out_on)
+                if worker is None:
+                    break
+                with self._lock:
+                    stage_info["retries"] += 1
+                registry.counter("remote.retries").increment()
+                registry.counter(
+                    "remote.retries", labels={"worker": failed.address}
+                ).increment()
+                tracer.record(
+                    "remote_retry",
+                    kind="event",
+                    parent=span,
+                    worker=failed.address,
+                    attempt=failures,
+                )
+                if self.backoff_seconds:
+                    time.sleep(self.backoff_seconds * (2 ** (failures - 1)))
             if not self.fallback_local:
                 raise RemoteDispatchError(
                     f"shard [{shard.start}, {shard.stop}) failed on every "
@@ -631,10 +639,17 @@ class RemoteExecutor(Executor):
         result = fn(shard_view(view, shard), payload)
         return result, time.perf_counter() - started
 
-    def _pick_worker(self, preference: int):
-        """The ``preference``-th live worker (round-robin), or ``None``."""
+    def _pick_worker(self, preference: int, skip=()):
+        """The ``preference``-th live worker not in ``skip``, or ``None``.
+
+        ``skip`` holds addresses; the choice is round-robin over the
+        workers that remain.
+        """
         with self._lock:
-            live = [w for w in self._workers if w.alive]
+            live = [
+                w for w in self._workers
+                if w.alive and w.address not in skip
+            ]
             if not live:
                 return None
             return live[preference % len(live)]

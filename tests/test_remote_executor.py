@@ -128,35 +128,41 @@ def fleet():
         group.close()
 
 
-class SlowOnceWorker(ShardWorker):
-    """A live worker whose first count outlasts the coordinator's timeout.
+class StallingWorker(ShardWorker):
+    """A live worker whose counts outlast the coordinator's timeout.
 
-    The stalled request is released once the test is done, so the
-    handler thread never outlives the fleet.
+    The first ``stalls`` counts stall for ``delay`` seconds (every count
+    when ``stalls`` is None); ``calls`` tallies the count requests it
+    received.  Stalled requests are released once the test is done, so
+    no handler thread outlives the fleet.
     """
 
-    def __init__(self, delay: float) -> None:
+    def __init__(self, delay: float, stalls=None) -> None:
         super().__init__()
         self.delay = delay
+        self.stalls = stalls
+        self.calls = 0
         self.release = threading.Event()
-        self._stalled = False
-        self._stall_lock = threading.Lock()
+        self._calls_lock = threading.Lock()
 
     def count(self, request, *, traceparent=None):
-        with self._stall_lock:
-            stall, self._stalled = not self._stalled, True
+        with self._calls_lock:
+            self.calls += 1
+            stall = self.stalls is None or self.calls <= self.stalls
         if stall:
             self.release.wait(self.delay)
         return super().count(request, traceparent=traceparent)
 
 
-def remote_config(base, addresses, observability=None, **remote_overrides):
+def remote_config(
+    base, addresses, observability=None, shard_size=32, **remote_overrides
+):
     blocks = {}
     if observability is not None:
         blocks["observability"] = observability
     return MinerConfig(
         **base,
-        execution={"executor": "remote", "shard_size": 32},
+        execution={"executor": "remote", "shard_size": shard_size},
         remote={"workers": addresses, **remote_overrides},
         **blocks,
     )
@@ -568,7 +574,7 @@ class TestEquivalence:
         # telemetry instead of counting a death.  PASS_3's small count
         # payloads keep every other request far inside the timeout.
         serial = QuantitativeMiner(table, MinerConfig(**PASS_3)).mine()
-        slow = SlowOnceWorker(delay=30.0)
+        slow = StallingWorker(delay=30.0, stalls=1)
         group = fleet(workers=[slow, ShardWorker()])
         config = remote_config(
             PASS_3,
@@ -603,6 +609,46 @@ class TestEquivalence:
         ]
         assert slow_events
         assert all(e.parent_id in dispatch_ids for e in slow_events)
+
+    def test_task_slow_on_every_live_worker_falls_back_local(
+        self, fleet, table
+    ):
+        # Both workers time out on every count while their /healthz
+        # keeps answering.  A task is never sent back to a worker it
+        # timed out on, so each task reaches each worker once and then
+        # goes straight to the local fallback, with no death.  Large
+        # shards keep the task count (and so the timeouts) small.
+        serial = QuantitativeMiner(table, MinerConfig(**PASS_3)).mine()
+        slow = [StallingWorker(delay=30.0) for _ in range(2)]
+        config = remote_config(
+            PASS_3,
+            fleet(workers=slow).addresses,
+            observability={"enabled": True},
+            shard_size=150,
+            task_timeout=0.5,
+            backoff_seconds=0.01,
+        )
+        try:
+            remote = QuantitativeMiner(table, config).mine()
+        finally:
+            for worker in slow:
+                worker.release.set()
+        assert_same_mining(remote, serial)
+        assert list(remote.support_counts) == list(serial.support_counts)
+        spans = remote.observability.tracer.spans()
+        slow_per_task = {
+            s.span_id: 0 for s in spans if s.kind == "remote_dispatch"
+        }
+        for event in spans:
+            if event.kind == "event" and event.name == "remote_slow":
+                slow_per_task[event.parent_id] += 1
+        tasks = len(slow_per_task)
+        assert set(slow_per_task.values()) == {2}
+        assert [worker.calls for worker in slow] == [tasks, tasks]
+        execution = remote.stats.execution
+        assert execution.remote_local_fallbacks == tasks
+        assert execution.remote_retries == tasks
+        assert execution.remote_worker_deaths == 0
 
     def test_whole_fleet_dead_falls_back_local(
         self, table, serial_results
