@@ -9,15 +9,15 @@ Two halves, matching the two halves of ``repro.rules``:
    asserted here, so the speedup cannot come from mining something
    different.
 
-2. **Match/predict serving latency** over the mined ruleset: a
-   :class:`~repro.rules.RuleIndex` per served-ruleset size answers a
-   stream of raw-record point queries on its R*-tree path and on the
-   linear-scan reference path.  Both paths must return identical
-   ranked matches for every query; the benchmark reports p50/p99
-   per-query latency and queries/sec for each size — the latency
-   curve — plus the index-over-linear speedup.  The tree's edge is
-   bounded on this workload: a credit record fires ~20% of the mined
-   rules, so a large share of each query is output, not search.
+2. **Match/predict serving latency** over the mined ruleset: per
+   served-ruleset size, a columnar :class:`~repro.rules.RuleIndex`
+   (per-rule ``lo``/``hi`` arrays, one numpy comparison per query) and
+   a separately built linear-scan reference (``use_index=False``)
+   answer the same stream of raw-record point queries.  Both must
+   return identical ranked matches for every query; the benchmark
+   reports each index's build time, p50/p99 per-query latency and
+   queries/sec for each size — the latency curve — plus the
+   columnar-over-linear speedup.
 
 Results land in ``benchmarks/results/rule_serving.json`` via the
 shared reporter, and the headline numbers snapshot to
@@ -67,13 +67,20 @@ def _query_records(table, num_queries):
     return [sample[i % len(sample)] for i in range(num_queries)]
 
 
-def _time_queries(index, records, *, use_index):
+def _build(rules, mappings, *, use_index):
+    """A RuleIndex and its build time (seconds)."""
+    start = time.perf_counter()
+    index = RuleIndex(rules, mappings, use_index=use_index)
+    return index, time.perf_counter() - start
+
+
+def _time_queries(index, records):
     """Per-query latencies (seconds) plus each query's match list."""
     latencies = []
     matches = []
     for record in records:
         start = time.perf_counter()
-        fired = index.match(record, use_index=use_index)
+        fired = index.match(record)
         latencies.append(time.perf_counter() - start)
         matches.append(fired)
     return latencies, matches
@@ -135,41 +142,34 @@ def test_rule_serving(credit_table_cache, reporter):
         goal_rules=len(goal.rules),
     )
 
-    # -- Half 2: point-query latency curve, indexed vs. linear ---------
+    # -- Half 2: point-query latency curve, columnar vs. linear -------
     records = _query_records(table, NUM_QUERIES)
     reporter.line(
         f"\nPoint-query latency curve: {NUM_QUERIES} records per "
         "ruleset size"
     )
-    reporter.row("rules", "path", "p50_us", "p99_us", "queries/s")
+    reporter.row(
+        "rules", "path", "build_ms", "p50_us", "p99_us", "queries/s"
+    )
     latency_curve = []
     for size in RULESET_SIZES:
         rules = full.rules if size is None else full.rules[:size]
-        index = RuleIndex(rules, full.mapper.mappings)
-        assert index.indexed
-
-        indexed_lat, indexed_matches = _time_queries(
-            index, records, use_index=True
-        )
-        linear_lat, linear_matches = _time_queries(
-            index, records, use_index=False
-        )
-        assert indexed_matches == linear_matches  # same rules, same order
-        assert any(
-            indexed_matches
-        ), "degenerate workload: nothing ever fires"
-
-        point = {"num_rules": index.num_rules}
-        for path, latencies in (
-            ("indexed", indexed_lat),
-            ("linear", linear_lat),
-        ):
+        point = {"num_rules": len(rules)}
+        answers = []
+        for path, use_index in (("columnar", True), ("linear", False)):
+            index, build = _build(
+                rules, full.mapper.mappings, use_index=use_index
+            )
+            assert index.indexed == use_index
+            latencies, matches = _time_queries(index, records)
+            answers.append(matches)
             p50 = _percentile(latencies, 0.50)
             p99 = _percentile(latencies, 0.99)
             qps = len(latencies) / sum(latencies)
             reporter.row(
                 index.num_rules,
                 path,
+                f"{build * 1e3:.1f}",
                 f"{p50 * 1e6:.0f}",
                 f"{p99 * 1e6:.0f}",
                 f"{qps:.0f}",
@@ -179,22 +179,29 @@ def test_rule_serving(credit_table_cache, reporter):
                 path=path,
                 num_queries=NUM_QUERIES,
                 num_rules=index.num_rules,
+                build_seconds=build,
                 p50_seconds=p50,
                 p99_seconds=p99,
                 queries_per_second=qps,
             )
             point[path] = {
+                "build_seconds": build,
                 "p50_seconds": p50,
                 "p99_seconds": p99,
                 "queries_per_second": qps,
             }
-        point["index_speedup"] = (
-            point["indexed"]["queries_per_second"]
+        columnar_matches, linear_matches = answers
+        assert columnar_matches == linear_matches  # same rules, same order
+        assert any(
+            columnar_matches
+        ), "degenerate workload: nothing ever fires"
+        point["columnar_speedup"] = (
+            point["columnar"]["queries_per_second"]
             / point["linear"]["queries_per_second"]
         )
         reporter.line(
-            f"index speedup {point['index_speedup']:.2f}x over linear "
-            f"scan at {index.num_rules} rules"
+            f"columnar speedup {point['columnar_speedup']:.2f}x over "
+            f"linear scan at {point['num_rules']} rules"
         )
         latency_curve.append(point)
 

@@ -309,13 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=None, metavar="N",
         help="report at most N fired rules",
     )
-    predict.add_argument(
-        "--linear", action="store_true",
-        help=(
-            "answer by linear scan instead of the R*-tree index "
-            "(identical output; the index is only faster)"
-        ),
-    )
 
     gen = sub.add_parser(
         "generate", help="write a synthetic credit dataset CSV"
@@ -673,9 +666,7 @@ def _run_predict(args) -> int:
     if not isinstance(record, dict):
         raise SystemExit("--record must be a JSON object")
     try:
-        index = RuleIndex.from_document(
-            document, use_index=not args.linear
-        )
+        index = RuleIndex.from_document(document)
         if args.target is not None:
             prediction = index.predict(
                 record, args.target, top=args.top

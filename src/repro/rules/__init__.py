@@ -5,14 +5,16 @@ this package answers the inverse, operational question — "which rules
 fire for *this record*, and what do they predict" — at interactive
 latency:
 
-- :class:`~repro.rules.index.RuleIndex` — range-containment index over
-  a ruleset's antecedents (R*-tree over the mapped code space, linear
-  scan as the proven-equivalent fallback), with ``match`` and
-  ``predict`` point queries, document/JSON round-trips and
-  content-addressed persistence.
+- :class:`~repro.rules.index.RuleIndex` — range-containment evaluator
+  over a ruleset's antecedents (per-rule ``lo``/``hi`` code arrays
+  matched with one numpy comparison, a linear scan as the
+  property-tested reference), with ``match`` and ``predict`` point
+  queries, document/JSON round-trips and content-addressed
+  persistence.
 - :class:`~repro.rules.registry.RulesetRegistry` — named uploaded
-  rulesets with per-content index caching, disk persistence and
-  ``rules.*`` observability; the state behind ``/v1/rulesets``.
+  rulesets with per-content index caching (each document fingerprinted
+  once, when stored), disk persistence and ``rules.*`` observability;
+  the state behind ``/v1/rulesets``.
 
 Pairs with goal-directed mining (``MinerConfig(target=...)``), which
 produces exactly the rules concluding on one attribute while counting

@@ -1,16 +1,17 @@
-"""Indexed point queries over a mined ruleset (fit/predict serving).
+"""Columnar point queries over a mined ruleset (fit/predict serving).
 
 A mined rule fires for a record when the record satisfies every item of
 the rule's antecedent — i.e. when the record's mapped integer codes fall
-inside the antecedent's per-attribute ranges.  Geometrically each
-antecedent is an axis-aligned box over the full attribute space
-(antecedent-free dimensions span everything), and "which rules fire" is
-a point-containment query — exactly the shape the counting phase already
-answers with :class:`~repro.rtree.RStarTree` (Section 5.2 of the source
-paper), so the index reuses that substrate.
+inside the antecedent's per-attribute ranges.  Each antecedent is an
+axis-aligned box over the full attribute space (antecedent-free
+dimensions span everything), so "which rules fire" is a point-containment
+test against every box at once.
 
-:class:`RuleIndex` ingests a :class:`~repro.core.miner.MiningResult` or
-an exported rule document (the ``"attributes"`` section added by
+:class:`RuleIndex` stores the boxes as two ``int64`` arrays ``lo`` and
+``hi`` of shape rules x attributes, with rows pre-sorted by rank, and
+answers a query with one numpy comparison — no tree to build and no
+per-query sort.  It ingests a :class:`~repro.core.miner.MiningResult`
+or an exported rule document (the ``"attributes"`` section added by
 :mod:`repro.core.export` makes documents self-sufficient), encodes raw
 records with the same partitionings the miner used, and answers
 
@@ -22,22 +23,23 @@ records with the same partitionings the miner used, and answers
   attribute, plus the top rule's consequent interval as the
   prediction.
 
-A linear scan over the rules answers the same queries without the tree
-(``use_index=False``); both paths are property-tested equivalent, and
-the benchmark in ``benchmarks/bench_rule_serving.py`` prices the gap.
-Indexes pickle cleanly and persist content-addressed through any
-:class:`~repro.engine.cache.ArtifactCache` (:meth:`~RuleIndex.save` /
-:meth:`~RuleIndex.load`).
+An index built with ``use_index=False`` answers the same queries by a
+per-rule antecedent scan instead; it is the reference the columnar path
+is property-tested against, and ``benchmarks/bench_rule_serving.py``
+prices the gap.  Indexes pickle cleanly and persist content-addressed
+through any :class:`~repro.engine.cache.ArtifactCache`
+(:meth:`~RuleIndex.save` / :meth:`~RuleIndex.load`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from ..core.export import mappings_from_document, rule_from_dict
 from ..core.rules import QuantitativeRule
 from ..engine.fingerprint import fingerprint
-from ..rtree import Rect, RStarTree
 
 #: Mapped code standing in for "value missing / not encodable".  Real
 #: codes are >= 0 and antecedent ranges only cover real codes, so a
@@ -45,8 +47,10 @@ from ..rtree import Rect, RStarTree
 #: unconstrained dimensions of every rule box are widened to include it.
 MISSING_CODE = -1
 
-#: Cache-key prefix for persisted indexes (content-addressed).
-INDEX_CACHE_PREFIX = "ruleset-index:"
+#: Cache-key prefix for persisted indexes (content-addressed).  The
+#: version tag changes with the pickled layout, so an index persisted in
+#: an older layout is rebuilt, never served.
+INDEX_CACHE_PREFIX = "ruleset-index-v2:"
 
 
 @dataclass(frozen=True)
@@ -81,19 +85,8 @@ class Prediction:
     score: float | None = None
 
 
-@dataclass
-class _IndexedRule:
-    rule: QuantitativeRule
-    score: float
-    lift: float | None
-    rank: int = field(default=0)
-    #: The (immutable) RuleMatch this rule fires as — built once, so a
-    #: query materializes no per-match objects on its hot path.
-    match: RuleMatch = field(default=None)
-
-
 class RuleIndex:
-    """Range-containment index over a ruleset's antecedents.
+    """Range-containment evaluator over a ruleset's antecedents.
 
     Parameters
     ----------
@@ -108,9 +101,9 @@ class RuleIndex:
         Optional per-rule lift values aligned with ``rules`` (``None``
         entries allowed); missing lifts rank as 1.0.
     use_index:
-        ``False`` skips building the R*-tree and answers every query by
-        linear scan — the reference semantics the tree is tested
-        against.
+        ``False`` skips building the ``lo``/``hi`` arrays and answers
+        every query by a per-rule antecedent scan — the reference
+        semantics the columnar path is tested against.
     """
 
     def __init__(
@@ -124,44 +117,33 @@ class RuleIndex:
             {label: code for code, label in enumerate(m.labels)}
             for m in self._mappings
         ]
-        rules = list(rules)
-        if lifts is None:
-            lifts = [None] * len(rules)
-        if len(lifts) != len(rules):
+        self._rules = list(rules)
+        self._lifts = (
+            [None] * len(self._rules) if lifts is None else list(lifts)
+        )
+        if len(self._lifts) != len(self._rules):
             raise ValueError(
-                f"{len(rules)} rules but {len(lifts)} lift values"
+                f"{len(self._rules)} rules but {len(self._lifts)} "
+                "lift values"
             )
-        self._rules = [
-            _IndexedRule(
+        matches = [
+            RuleMatch(
                 rule=rule,
                 score=rule.confidence * (1.0 if lift is None else lift),
                 lift=lift,
             )
-            for rule, lift in zip(rules, lifts)
+            for rule, lift in zip(self._rules, self._lifts)
         ]
         # Ranking is fixed at build time: score descending, canonical
-        # rule order as the deterministic tie-break.  Matched subsets
-        # then sort by precomputed rank, identically on both paths.
-        by_rank = sorted(
-            range(len(self._rules)),
-            key=lambda i: (
-                -self._rules[i].score,
-                self._rules[i].rule.sort_key(),
-            ),
-        )
-        for rank, i in enumerate(by_rank):
-            self._rules[i].rank = rank
-        for indexed in self._rules:
-            indexed.match = RuleMatch(
-                rule=indexed.rule, score=indexed.score, lift=indexed.lift
-            )
-        # Flat position -> rank / RuleMatch lookups for the query hot
-        # path (bound-method sort key, no per-query object creation).
-        self._ranks = [indexed.rank for indexed in self._rules]
-        self._matches = [indexed.match for indexed in self._rules]
-        self._tree = None
-        if use_index and self._rules and self._mappings:
-            self._tree = self._build_tree()
+        # rule order as the deterministic tie-break.  Both query paths
+        # walk the rules in rank order, so a matched subset is already
+        # ranked.
+        matches.sort(key=lambda m: (-m.score, m.rule.sort_key()))
+        self._ranked = np.empty(len(matches), dtype=object)
+        self._ranked[:] = matches
+        self._lo = self._hi = self._concludes = None
+        if use_index:
+            self._lo, self._hi, self._concludes = self._build_columns()
 
     # ------------------------------------------------------------------
     # Construction
@@ -236,23 +218,28 @@ class RuleIndex:
             lifts.append(None if lift is None else float(lift))
         return cls(rules, mappings, lifts=lifts, use_index=use_index)
 
-    def _build_tree(self) -> RStarTree:
-        ndim = len(self._mappings)
-        tree = RStarTree(ndim=ndim)
-        # Base box: every dimension spans [MISSING_CODE, cardinality],
-        # one wider than the real code range on both sides, so an
-        # unconstrained dimension matches any code *and* the missing
-        # sentinel.  Antecedent items then narrow their dimensions.
-        base_lo = [float(MISSING_CODE)] * ndim
-        base_hi = [float(m.cardinality) for m in self._mappings]
-        for position, indexed in enumerate(self._rules):
-            lo = list(base_lo)
-            hi = list(base_hi)
-            for item in indexed.rule.antecedent:
-                lo[item.attribute] = float(item.lo)
-                hi[item.attribute] = float(item.hi)
-            tree.insert(Rect(lo, hi), position)
-        return tree
+    def _build_columns(self) -> tuple:
+        """The ranked rules as ``(lo, hi, concludes)`` arrays.
+
+        ``lo``/``hi`` (int64) hold each antecedent's box.  Every
+        dimension starts as ``[MISSING_CODE, cardinality]``, one wider
+        than the real code range on both sides, so an unconstrained
+        dimension matches any code *and* the missing sentinel;
+        antecedent items then narrow their dimensions.  ``concludes``
+        (bool) marks the attributes each consequent covers.
+        """
+        shape = (len(self._ranked), len(self._mappings))
+        lo = np.full(shape, MISSING_CODE, dtype=np.int64)
+        hi = np.empty(shape, dtype=np.int64)
+        hi[:] = [m.cardinality for m in self._mappings]
+        concludes = np.zeros(shape, dtype=bool)
+        for row, match in enumerate(self._ranked):
+            for item in match.rule.antecedent:
+                lo[row, item.attribute] = item.lo
+                hi[row, item.attribute] = item.hi
+            for item in match.rule.consequent:
+                concludes[row, item.attribute] = True
+        return lo, hi, concludes
 
     # ------------------------------------------------------------------
     # Introspection
@@ -271,8 +258,8 @@ class RuleIndex:
 
     @property
     def indexed(self) -> bool:
-        """Whether the R*-tree path is available."""
-        return self._tree is not None
+        """Whether the columnar ``lo``/``hi`` path is available."""
+        return self._lo is not None
 
     @property
     def mappings(self) -> tuple:
@@ -280,14 +267,14 @@ class RuleIndex:
 
     def rules(self) -> list:
         """The served rules, in ingestion order."""
-        return [indexed.rule for indexed in self._rules]
+        return list(self._rules)
 
     def fingerprint(self) -> str:
         """Content address of this index (rules + encoding + lifts)."""
         return fingerprint(
             "RuleIndexV1",
-            [indexed.rule for indexed in self._rules],
-            [indexed.lift for indexed in self._rules],
+            self._rules,
+            self._lifts,
             [
                 (
                     m.name,
@@ -357,38 +344,27 @@ class RuleIndex:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def match(self, record: dict, *, use_index: bool | None = None) -> list:
-        """Every rule fired by ``record``, as ranked :class:`RuleMatch`.
+    def match(self, record: dict) -> list:
+        """Every rule fired by ``record``, as ranked :class:`RuleMatch`."""
+        return self._match_codes(self.encode_record(record))
 
-        ``use_index`` forces the R*-tree path (``True``; raises when
-        the index was built linear-only) or the linear scan (``False``)
-        — ``None`` uses the tree when available.  Both paths return the
-        identical list.
-        """
-        codes = self.encode_record(record)
-        return self._match_codes(codes, use_index=use_index)
-
-    def _match_codes(self, codes, *, use_index: bool | None = None) -> list:
-        if use_index is None:
-            use_index = self._tree is not None
-        if use_index:
-            if self._tree is None:
-                raise ValueError(
-                    "this RuleIndex was built with use_index=False"
-                )
-            point = [
-                float(MISSING_CODE if c is None else c) for c in codes
+    def _match_codes(self, codes, target: int | None = None) -> list:
+        """Ranked matches, only those concluding on ``target`` if given."""
+        if self._lo is None:
+            return [
+                m
+                for m in self._ranked
+                if self._fires(m.rule, codes)
+                and (target is None or self._concludes_on(m.rule, target))
             ]
-            positions = self._tree.containing_point(point)
-        else:
-            positions = [
-                position
-                for position, indexed in enumerate(self._rules)
-                if self._fires(indexed.rule, codes)
-            ]
-        positions.sort(key=self._ranks.__getitem__)
-        matches = self._matches
-        return [matches[p] for p in positions]
+        point = np.array(
+            [MISSING_CODE if c is None else c for c in codes],
+            dtype=np.int64,
+        )
+        fired = ((self._lo <= point) & (point <= self._hi)).all(axis=1)
+        if target is not None:
+            fired &= self._concludes[:, target]
+        return self._ranked[fired].tolist()
 
     @staticmethod
     def _fires(rule: QuantitativeRule, codes) -> bool:
@@ -398,13 +374,16 @@ class RuleIndex:
                 return False
         return True
 
+    @staticmethod
+    def _concludes_on(rule: QuantitativeRule, target: int) -> bool:
+        return any(it.attribute == target for it in rule.consequent)
+
     def predict(
         self,
         record: dict,
         target: str,
         *,
         top: int | None = None,
-        use_index: bool | None = None,
     ) -> Prediction:
         """Fired rules concluding on ``target``, plus the top prediction.
 
@@ -420,11 +399,7 @@ class RuleIndex:
                 f"this ruleset covers {list(self.attribute_names)}"
             )
         target_idx = self._attr_index[target]
-        matches = [
-            m
-            for m in self.match(record, use_index=use_index)
-            if any(it.attribute == target_idx for it in m.rule.consequent)
-        ]
+        matches = self._match_codes(self.encode_record(record), target_idx)
         interval = display = confidence = score = None
         if matches:
             best = matches[0]

@@ -4,11 +4,15 @@
 ``/v1/rulesets`` routes and the CLI's offline ``predict``: it holds
 exported rule documents by caller-chosen id, persists them as one
 atomic JSON file each under an optional directory (reloaded on
-construction, mirroring the serve job store), and lazily builds one
+construction, mirroring the serve job store), and builds one
 :class:`~repro.rules.index.RuleIndex` per distinct document *content* —
 two ids uploading the same document share one index, both in memory and
 through the optional :class:`~repro.engine.cache.ArtifactCache`, which
 also lets a restarted process skip the index rebuild entirely.
+
+A document's content fingerprint is computed once, when it is stored
+(by :meth:`~RulesetRegistry.put` or the startup reload), and kept
+beside it, so every query reaches its index through dict lookups only.
 
 Ruleset ids share the job-id charset (filename-safe, no separators) so
 an id can never traverse out of the storage directory; validation is
@@ -29,7 +33,7 @@ from pathlib import Path
 from ..core.export import write_json_atomic
 from ..engine.fingerprint import fingerprint
 from ..obs import DEFAULT_LATENCY_BUCKETS, NULL_METRICS, NULL_TRACER
-from .index import RuleIndex
+from .index import INDEX_CACHE_PREFIX, RuleIndex
 
 #: Same shape as the serve job store's id rule: leading alphanumeric,
 #: then filename-safe characters only, at most 100 total.  Anything that
@@ -87,7 +91,7 @@ class RulesetRegistry:
             observability.tracer if observability is not None
             else NULL_TRACER
         )
-        self._documents: dict = {}
+        self._documents: dict = {}  # id -> (document, fingerprint)
         self._indexes: dict = {}  # document fingerprint -> RuleIndex
         if self._directory is not None:
             self._directory.mkdir(parents=True, exist_ok=True)
@@ -99,9 +103,12 @@ class RulesetRegistry:
             if not _SAFE_ID.match(ruleset_id):
                 continue
             try:
-                self._documents[ruleset_id] = json.loads(path.read_text())
+                document = json.loads(path.read_text())
             except (OSError, json.JSONDecodeError):
                 continue  # torn/foreign file: skip, never crash startup
+            self._documents[ruleset_id] = (
+                document, document_fingerprint(document)
+            )
 
     # ------------------------------------------------------------------
     # Mutation
@@ -110,22 +117,32 @@ class RulesetRegistry:
         """Store ``document`` under ``ruleset_id``; returns its metadata.
 
         Overwrites silently (re-uploading a mined result under the same
-        name is the natural refresh idiom); the index for the new
-        content is built lazily on first query.
+        name is the natural refresh idiom).  The index for the content
+        is built (or fetched from the cache) here, so a document the
+        index cannot ingest fails the upload, not the first query.
+
+        The registry takes ownership of ``document``: its fingerprint
+        is computed once, here, and every later query trusts it, so
+        the caller must not mutate the document afterwards.  Store new
+        content with another ``put``.
         """
         validate_ruleset_id(ruleset_id)
         if not isinstance(document, dict):
             raise ValueError("ruleset document must be a JSON object")
-        # Validate eagerly: a document the index cannot ingest should
-        # fail the upload, not the first query.
-        index = self._index_for(document)
-        self._documents[ruleset_id] = document
+        fp = document_fingerprint(document)
+        self._index_for(document, fp)
+        self._documents[ruleset_id] = (document, fp)
         if self._directory is not None:
+            # Compact: only this registry reads the file back, and
+            # indenting forces json's pure-Python encoder, which costs
+            # more than building the index on a large ruleset.
             write_json_atomic(
-                document, self._directory / (ruleset_id + _DOC_SUFFIX)
+                document,
+                self._directory / (ruleset_id + _DOC_SUFFIX),
+                indent=None,
             )
         self._metrics.counter("rules.rulesets_uploaded").increment()
-        return self.describe(ruleset_id, index=index)
+        return self.describe(ruleset_id)
 
     def delete(self, ruleset_id: str) -> bool:
         """Drop a ruleset; True when one existed under that id."""
@@ -149,41 +166,43 @@ class RulesetRegistry:
         return ruleset_id in self._documents
 
     def document(self, ruleset_id: str) -> dict:
+        return self._entry(ruleset_id)[0]
+
+    def _entry(self, ruleset_id: str) -> tuple:
         validate_ruleset_id(ruleset_id)
         return self._documents[ruleset_id]  # KeyError -> 404 upstream
 
     def index(self, ruleset_id: str) -> RuleIndex:
         """The query index for one ruleset (built/cached on demand)."""
-        return self._index_for(self.document(ruleset_id))
+        return self._index_for(*self._entry(ruleset_id))
 
-    def describe(self, ruleset_id: str, index=None) -> dict:
+    def describe(self, ruleset_id: str) -> dict:
         """JSON-ready metadata for one ruleset (the GET route body)."""
-        document = self.document(ruleset_id)
-        if index is None:
-            index = self._index_for(document)
+        document, fp = self._entry(ruleset_id)
+        index = self._index_for(document, fp)
         return {
             "ruleset_id": ruleset_id,
             "format": document.get("format"),
             "num_rules": index.num_rules,
             "attributes": list(index.attribute_names),
-            "fingerprint": document_fingerprint(document),
+            "fingerprint": fp,
             "indexed": index.indexed,
         }
 
-    def _index_for(self, document: dict) -> RuleIndex:
-        fp = document_fingerprint(document)
+    def _index_for(self, document: dict, fp: str) -> RuleIndex:
         index = self._indexes.get(fp)
         if index is not None:
             return index
+        key = INDEX_CACHE_PREFIX + fp
         if self._cache is not None:
-            index = RuleIndex.load(self._cache, "ruleset-index:" + fp)
+            index = RuleIndex.load(self._cache, key)
         if index is None:
             span = self._tracer.start_span("rules.build_index", kind="stage")
             index = RuleIndex.from_document(document)
             span.finish(num_rules=index.num_rules)
             self._metrics.counter("rules.indexes_built").increment()
             if self._cache is not None:
-                self._cache.put("ruleset-index:" + fp, index)
+                self._cache.put(key, index)
         self._indexes[fp] = index
         return index
 

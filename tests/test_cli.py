@@ -402,18 +402,24 @@ class TestGoalDirectedAndPredict:
         if payload["matches"]:
             assert payload["prediction"]["display"] is not None
 
-        # --linear must answer identically to the indexed path.
-        for extra in ([], ["--linear"]):
-            rc = main(
-                ["predict", str(path), "--record", '{"Age": 30}', *extra]
+        # Match mode must answer what a separately built linear-scan
+        # index answers from the same document.
+        from repro.rules import RuleIndex
+        from repro.serve.protocol import rule_match_payload
+
+        rc = main(["predict", str(path), "--record", '{"Age": 30}'])
+        assert rc == 0
+        answer = json_module.loads(capsys.readouterr().out)
+        linear = RuleIndex.from_document(
+            json_module.loads(path.read_text()), use_index=False
+        )
+        expected = linear.match({"Age": 30})
+        assert answer["num_matches"] == len(expected)
+        assert answer["matches"] == json_module.loads(
+            json_module.dumps(
+                [rule_match_payload(m, linear) for m in expected]
             )
-            assert rc == 0
-            answer = json_module.loads(capsys.readouterr().out)
-            if extra:
-                assert answer == indexed_answer
-            else:
-                indexed_answer = answer
-        assert "num_matches" in indexed_answer
+        )
 
     def test_predict_rejects_bad_inputs(self, people_csv, tmp_path):
         path = self.mine_target_json(people_csv, tmp_path)

@@ -1,11 +1,14 @@
-"""RuleIndex: indexed point queries equal the linear-scan reference.
+"""RuleIndex: columnar point queries equal the linear-scan reference.
 
-The R*-tree path exists only for speed; its one correctness obligation
-is returning exactly what the per-rule antecedent scan returns, for any
-record — values present, missing, out of range, or unseen.  The rest of
-the suite covers construction (live result, exported document, pickle
+The columnar ``lo``/``hi`` path exists only for speed; its one
+correctness obligation is returning exactly what a separately built
+linear-scan index (``use_index=False``) returns, for any record —
+values present, missing, out of range, or unseen.  The rest of the
+suite covers construction (live result, exported document, pickle
 through an artifact cache — all three must answer identically), the
-prediction contract, encoding errors, and the registry's id hygiene.
+prediction contract, encoding errors, and the registry: id hygiene,
+one document fingerprint per stored document, and stale persisted
+indexes.
 """
 
 import json
@@ -18,6 +21,7 @@ from repro.data import generate_credit_table
 from repro.engine.cache import MemoryCache
 from repro.obs import Observability
 from repro.rules import (
+    INDEX_CACHE_PREFIX,
     Prediction,
     RuleIndex,
     RulesetRegistry,
@@ -48,6 +52,12 @@ def index(result):
 
 
 @pytest.fixture(scope="module")
+def linear(result):
+    """The reference: the same rules answered by per-rule scan."""
+    return RuleIndex.from_result(result, use_index=False)
+
+
+@pytest.fixture(scope="module")
 def records(index):
     """A spread of records: full, partial, missing, out-of-range, unseen."""
     import random
@@ -75,26 +85,28 @@ def records(index):
 
 
 class TestIndexEqualsLinearScan:
-    def test_tree_and_scan_agree_on_every_record(self, index, records):
+    def test_columnar_and_scan_agree_on_every_record(
+        self, index, linear, records
+    ):
+        assert index.indexed and not linear.indexed
         fired = 0
         for record in records:
-            via_tree = index.match(record, use_index=True)
-            via_scan = index.match(record, use_index=False)
-            assert via_tree == via_scan
-            fired += len(via_tree)
+            via_columns = index.match(record)
+            assert via_columns == linear.match(record)
+            fired += len(via_columns)
         assert fired > 0, "degenerate fixture: nothing ever fired"
 
     def test_linear_only_index_answers_identically(self, result, records):
-        linear = RuleIndex.from_result(result, use_index=False)
-        tree = RuleIndex.from_result(result)
-        assert not linear.indexed and tree.indexed
-        for record in records[:40]:
-            assert linear.match(record) == tree.match(record)
-
-    def test_forcing_tree_on_linear_only_index_fails(self, result):
-        linear = RuleIndex.from_result(result, use_index=False)
-        with pytest.raises(ValueError, match="use_index"):
-            linear.match({}, use_index=True)
+        document = json.loads(json.dumps(result_to_document(result)))
+        linear = RuleIndex.from_document(document, use_index=False)
+        columnar = RuleIndex.from_document(document)
+        assert not linear.indexed and columnar.indexed
+        predicted = 0
+        for record in records:
+            expected = linear.predict(record, "employee_category")
+            assert columnar.predict(record, "employee_category") == expected
+            predicted += expected.interval is not None
+        assert predicted > 0, "degenerate fixture: nothing predicted"
 
     def test_matches_rank_by_score_then_canonical_order(
         self, index, records
@@ -261,3 +273,70 @@ class TestRulesetRegistry:
     def test_unknown_ruleset_raises_keyerror(self):
         with pytest.raises(KeyError):
             RulesetRegistry().document("missing")
+
+    def test_legacy_persisted_index_is_ignored(self, result):
+        # A cache written before the columnar layout holds tree-shaped
+        # RuleIndex pickles under the unversioned key; serving one
+        # would break every query, so the registry must not read it.
+        cache = MemoryCache()
+        document = result_to_document(result)
+        fp = document_fingerprint(document)
+        assert INDEX_CACHE_PREFIX != "ruleset-index:"
+        cache.put("ruleset-index:" + fp, RuleIndex([], []))
+        registry = RulesetRegistry(cache=cache)
+        registry.put("credit", document)
+        index = registry.index("credit")
+        assert index.num_rules == len(result.interesting_rules)
+        persisted = RuleIndex.load(cache, INDEX_CACHE_PREFIX + fp)
+        assert persisted is not None
+        assert persisted.fingerprint() == index.fingerprint()
+
+
+class TestFingerprintOncePerDocument:
+    def test_put_fingerprints_once_and_queries_never(
+        self, result, fingerprint_calls
+    ):
+        registry = RulesetRegistry(observability=Observability())
+        registry.put("credit", result_to_document(result))
+        assert len(fingerprint_calls) == 1
+        record = {"monthly_income": 3000.0}
+        registry.index("credit")
+        registry.match("credit", record)
+        registry.predict("credit", record, "employee_category")
+        registry.describe("credit")
+        assert len(fingerprint_calls) == 1
+
+    def test_reput_under_same_id_serves_new_content(
+        self, result, records, fingerprint_calls
+    ):
+        registry = RulesetRegistry()
+        document = result_to_document(result)
+        first = registry.put("credit", document)
+        interesting = [r for r in document["rules"] if r["interesting"]]
+        smaller = dict(document, rules=interesting[:3])
+        metadata = registry.put("credit", smaller)
+        assert len(fingerprint_calls) == 2
+        assert metadata["num_rules"] == 3
+        assert metadata["fingerprint"] != first["fingerprint"]
+        assert registry.describe("credit") == metadata
+        reference = RuleIndex.from_document(smaller, use_index=False)
+        for record in records[:40]:
+            assert registry.match("credit", record) == reference.match(
+                record
+            )
+        assert len(fingerprint_calls) == 2
+
+    def test_persisted_documents_fingerprint_once_at_startup(
+        self, result, tmp_path, fingerprint_calls
+    ):
+        document = result_to_document(result)
+        writer = RulesetRegistry(tmp_path)
+        writer.put("a", document)
+        writer.put("b", document)
+        del fingerprint_calls[:]
+        reloaded = RulesetRegistry(tmp_path)
+        assert len(fingerprint_calls) == 2
+        for ruleset_id in ("a", "b"):
+            reloaded.match(ruleset_id, {"monthly_income": 3000.0})
+            reloaded.describe(ruleset_id)
+        assert len(fingerprint_calls) == 2

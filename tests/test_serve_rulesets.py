@@ -188,6 +188,29 @@ class TestRulesetRoutes:
         )
         assert status == 200 and len(answer["matches"]) <= 1
 
+    def test_queries_never_fingerprint_the_document(
+        self, server, reference, fingerprint_calls
+    ):
+        document = result_to_document(reference)
+        status, _ = request(
+            server,
+            "POST",
+            "/v1/rulesets",
+            {"ruleset_id": "counted", "document": document},
+        )
+        assert status == 201 and len(fingerprint_calls) == 1
+        for _ in range(3):
+            status, _ = request(
+                server,
+                "POST",
+                "/v1/rulesets/counted/predict",
+                {"record": RECORD, "target": "employee_category"},
+            )
+            assert status == 200
+        status, _ = request(server, "GET", "/v1/rulesets/counted")
+        assert status == 200
+        assert len(fingerprint_calls) == 1
+
     def test_unfinished_job_is_a_409(self, server, credit_csv):
         # A job id that exists but has no result document yet.
         status, _ = request(

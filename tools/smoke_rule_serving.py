@@ -14,10 +14,13 @@ Drives the whole goal-directed fit/predict loop the way a user would:
    probe record, twice each — the fired-rule lists must be
    deterministic across requests and bit-identical to what a local
    linear-scan :class:`~repro.rules.RuleIndex` answers from the same
-   document (index-vs-scan equivalence over the wire);
+   document (columnar-vs-scan equivalence over the wire);
 5. confirm ``quantrules predict`` (offline CLI) agrees with the served
    answer, bad ruleset ids 400 (no path traversal), and the
-   ``/metrics`` snapshot counted the queries.
+   ``/metrics`` snapshot counted the queries;
+6. re-upload different content under the same id and check that
+   ``GET /v1/rulesets/{id}`` and a second predict serve the new
+   content (the registry's stored-fingerprint refresh path).
 
 Exit status 0 on success, 1 with a diagnostic otherwise.  Run from the
 repository root::
@@ -169,7 +172,7 @@ def main() -> int:
             if metadata["num_rules"] != reference.num_rules:
                 fail(f"upload metadata wrong: {metadata}")
             if not metadata["indexed"]:
-                fail("server did not build the R*-tree index")
+                fail("server did not build the columnar rule index")
             listing = http_json("GET", f"{base}/v1/rulesets")
             ids = [r["ruleset_id"] for r in listing["rulesets"]]
             if ids != ["credit-goal"]:
@@ -256,6 +259,37 @@ def main() -> int:
             if queries < 4:
                 fail(f"rules.queries counted {queries}, want >= 4")
             print("smoke_rule_serving: CLI parity + metrics validated")
+
+            # 6: re-upload under the same id; describe and predict must
+            # serve the new content, not the first upload's.
+            refreshed = dict(document, rules=document["rules"][:2])
+            updated = http_json(
+                "POST",
+                f"{base}/v1/rulesets",
+                {"ruleset_id": "credit-goal", "document": refreshed},
+            )
+            if updated["num_rules"] != 2 or (
+                updated["fingerprint"] == metadata["fingerprint"]
+            ):
+                fail(f"re-upload metadata wrong: {updated}")
+            described = http_json(
+                "GET", f"{base}/v1/rulesets/credit-goal"
+            )
+            if described != updated:
+                fail(f"describe after re-upload is stale: {described}")
+            repredicted = http_json(
+                "POST", predict_url, {"record": PROBE, "target": TARGET}
+            )
+            local = RuleIndex.from_document(refreshed, use_index=False)
+            expected = local.predict(PROBE, TARGET)
+            if len(repredicted["matches"]) != len(expected.matches) or [
+                m["confidence"] for m in repredicted["matches"]
+            ] != [m.rule.confidence for m in expected.matches]:
+                fail(f"predict after re-upload is stale: {repredicted}")
+            print(
+                "smoke_rule_serving: re-upload under the same id served "
+                f"({len(expected.matches)} target matches)"
+            )
         finally:
             process.send_signal(signal.SIGTERM)
             code = process.wait(timeout=120)
