@@ -516,8 +516,13 @@ class MinerConfig:
         refuses the array when its cells would exceed this budget,
         falling back to the R*-tree (Section 5.2 trade-off); ``bitmap``
         likewise charges its prefix-bitset tables against the same budget
-        and over-budget groups fall back to the R*-tree.  Pass-2 pair
-        plans are not charged against it.
+        and over-budget groups fall back to the R*-tree.  A joint
+        prefix-sum table (one per attribute set, for ``array`` groups and
+        the interest filter's on-demand supports) is built only while
+        its 8-byte cells fit both this budget and 4M cells; otherwise
+        counting falls back to per-group masked arrays or record scans,
+        with identical counts.  Pass-2 pair plans are not charged
+        against it.
     max_itemset_size:
         Optional cap on the number of items per itemset (``None`` = run
         until no candidates remain, as in the paper).

@@ -27,10 +27,18 @@ rectangle":
 
 ``array``
     The paper's multi-dimensional array: a joint histogram over the
-    quantitative attributes' mapped values, turned into an inclusive
-    prefix-sum table so each rectangle is answered with a 2^n-corner
-    inclusion–exclusion in O(1).  Cheap CPU, memory proportional to the
-    product of attribute cardinalities.
+    mapped values, turned into an inclusive prefix-sum table so each
+    rectangle is answered with a 2^n-corner inclusion–exclusion in O(1).
+    Cheap CPU, memory proportional to the product of attribute
+    cardinalities.  Where the paper builds one array per super-candidate
+    over its quantitative attributes (after selecting the records that
+    match its categorical part), :func:`count_groups` builds one *joint*
+    table per attribute set, with every attribute of the itemset as a
+    dimension: a categorical item is the rectangle side ``[v, v]``, so
+    every super-candidate over the same attributes reads the same table
+    and no record mask is computed.  A joint table larger than
+    :func:`joint_cell_limit` falls back to the paper's masked
+    per-super-candidate array.
 ``rtree``
     The paper's R*-tree: rectangles are indexed, each record issues one
     point-containment query.  Memory proportional to the number of
@@ -68,6 +76,12 @@ from .mapper import TableMapper
 #: Prefer the array while its memory is within this factor of the
 #: R*-tree's estimate (Section 5.2's "ratio of the expected memory use").
 _ARRAY_OVER_RTREE_RATIO = 8.0
+
+#: Largest joint prefix-sum table (in cells) any counting call builds —
+#: pass >= 3 super-candidates and the interest filter's on-demand
+#: supports alike.  :func:`joint_cell_limit` also charges it against the
+#: run's memory budget.
+JOINT_CELL_LIMIT = 4_000_000
 
 
 @dataclass
@@ -136,30 +150,36 @@ def categorical_mask(mapper: TableMapper, items) -> np.ndarray | None:
 class PrefixSumCounter:
     """The multi-dimensional array of Section 5.2, with prefix sums.
 
-    Builds the joint histogram of the given quantitative attributes over
-    the records selected by ``mask`` and pre-computes an inclusive
-    prefix-sum table, after which any axis-aligned integer rectangle is
-    counted in O(2^ndim).
+    Builds the joint histogram of the given attributes over the records
+    selected by ``mask`` and pre-computes an inclusive prefix-sum table,
+    after which any axis-aligned integer rectangle is counted in
+    O(2^ndim).
     """
 
-    def __init__(self, mapper: TableMapper, quant_attrs, mask=None) -> None:
-        self._shape = tuple(mapper.cardinality(a) for a in quant_attrs)
-        columns = [mapper.column(a) for a in quant_attrs]
+    def __init__(self, mapper: TableMapper, attrs, mask=None) -> None:
+        self._shape = tuple(mapper.cardinality(a) for a in attrs)
+        columns = [mapper.column(a) for a in attrs]
         if mask is not None:
             columns = [c[mask] for c in columns]
-        if len(columns) == 1:
-            flat = columns[0]
-        else:
-            flat = np.ravel_multi_index(columns, self._shape)
-        hist = np.bincount(
-            flat, minlength=int(np.prod(self._shape))
-        ).reshape(self._shape)
+        # Row-major flat cell index by Horner's rule, in place in one
+        # buffer (codes are in range by construction, so the bounds
+        # checks and temporaries of ``np.ravel_multi_index`` are waste).
+        flat = columns[0]
+        if len(columns) > 1:
+            flat = flat.astype(np.int64)
+            for column, size in zip(columns[1:], self._shape[1:]):
+                flat *= size
+                flat += column
+        hist = np.bincount(flat, minlength=self.num_cells)
         # Zero-padded cumulative table: P[i1..in] counts points with
-        # coordinate_d < i_d in every dimension d.
-        table = hist.astype(np.int64)
-        for axis in range(table.ndim):
-            table = np.cumsum(table, axis=axis)
-        self._table = np.pad(table, [(1, 0)] * table.ndim)
+        # coordinate_d < i_d in every dimension d.  The histogram is
+        # accumulated in place inside the padding.
+        table = np.zeros(tuple(n + 1 for n in self._shape), dtype=np.int64)
+        inner = table[(slice(1, None),) * len(self._shape)]
+        inner[...] = hist.reshape(self._shape)
+        for axis in range(len(self._shape)):
+            np.cumsum(inner, axis=axis, out=inner)
+        self._table = table
 
     @property
     def num_cells(self) -> int:
@@ -345,6 +365,76 @@ def _count_group_bitmap(group, index: BitmapIndex) -> list:
 
 
 # ----------------------------------------------------------------------
+# Joint prefix-sum tables
+# ----------------------------------------------------------------------
+def joint_cell_limit(memory_budget_bytes: int) -> int:
+    """The one cell-count rule for joint prefix-sum tables.
+
+    :data:`JOINT_CELL_LIMIT` cells, and never more 8-byte cells than the
+    memory budget holds.
+    """
+    return min(JOINT_CELL_LIMIT, memory_budget_bytes // 8)
+
+
+def joint_cells(view, attrs) -> int:
+    """Cells of the joint table over ``attrs``.
+
+    Reads full-table cardinalities only, so every shard of one table
+    makes the same choice against the limit.
+    """
+    cells = 1
+    for a in attrs:
+        cells *= view.cardinality(a)
+    return cells
+
+
+class JointCounters:
+    """Joint counters keyed by attribute tuple, built on first use.
+
+    The owner decides the lifetime: the interest evaluator keeps one per
+    run for its on-demand supports.  ``get`` returns ``None`` for a tuple
+    over the cell limit; callers then scan records instead.
+    """
+
+    def __init__(self, view, cell_limit: int) -> None:
+        self._view = view
+        self._cell_limit = cell_limit
+        self._counters: dict = {}
+
+    def get(self, attrs: tuple):
+        if attrs not in self._counters:
+            fits = joint_cells(self._view, attrs) <= self._cell_limit
+            self._counters[attrs] = (
+                PrefixSumCounter(self._view, attrs) if fits else None
+            )
+        return self._counters[attrs]
+
+
+def _count_joint(groups, counter) -> list:
+    """Counts for groups over one attribute set, from one joint table.
+
+    Every candidate's items, categorical ones included, become the sides
+    of one rectangle, so the whole set is a single ``count_rects``.
+    """
+    bounds = np.array(
+        [
+            [(item.lo, item.hi) for item in itemset]
+            for group in groups
+            for itemset in group.candidates
+        ],
+        dtype=np.int64,
+    )
+    counts = counter.count_rects(bounds[:, :, 0], bounds[:, :, 1]).tolist()
+    out = []
+    start = 0
+    for group in groups:
+        stop = start + len(group.candidates)
+        out.append(counts[start:stop])
+        start = stop
+    return out
+
+
+# ----------------------------------------------------------------------
 # Per-group backends
 # ----------------------------------------------------------------------
 def _count_group_array(group, mapper, mask) -> list:
@@ -459,41 +549,61 @@ def resolve_group_backends(
     ]
 
 
-def count_groups(groups, backends, view) -> list:
+def count_groups(groups, backends, view, cell_limit=JOINT_CELL_LIMIT) -> list:
     """Per-candidate counts for each group on ``view``.
 
     ``view`` is the full table or one shard; the result is a list (per
     group) of lists (per candidate) of integer counts, merge-ready by
-    elementwise addition.  ``bitmap`` groups share one
+    elementwise addition.
+
+    ``array`` groups over the same attribute set share one joint
+    prefix-sum table with every attribute as a dimension, so they
+    compute no categorical mask.  The tables are built one attribute
+    set at a time and dropped before the next, so at most one is alive
+    and none outlives the call.  An attribute set whose table would
+    exceed ``cell_limit`` cells (:func:`joint_cells`) falls back to the
+    masked per-group array.  ``bitmap`` groups share one
     :class:`BitmapIndex` per call (cached on the view when possible) and
     express their categorical conjunction as bitmap ANDs, so they skip
     the per-group boolean mask entirely.
     """
-    out = []
+    out: list = [None] * len(groups)
+    joint: dict = {}
     bitmap_index = None
-    for group, resolved in zip(groups, backends):
+    for position, (group, resolved) in enumerate(zip(groups, backends)):
+        if resolved == "array":
+            attrs = tuple(item.attribute for item in group.candidates[0])
+            if joint_cells(view, attrs) <= cell_limit:
+                joint.setdefault(attrs, []).append(position)
+                continue
         if resolved == "bitmap":
             if bitmap_index is None:
                 bitmap_index = BitmapIndex.for_view(view)
             counts = _count_group_bitmap(group, bitmap_index)
-            out.append([int(c) for c in counts])
+            out[position] = [int(c) for c in counts]
             continue
         mask = categorical_mask(view, group.categorical_items)
         if resolved == MASK_BACKEND:
             population = (
                 int(mask.sum()) if mask is not None else view.num_records
             )
-            out.append([population] * len(group.candidates))
+            out[position] = [population] * len(group.candidates)
         else:
             counts = _GROUP_BACKENDS[resolved](group, view, mask)
-            out.append([int(c) for c in counts])
+            out[position] = [int(c) for c in counts]
+    for attrs, positions in joint.items():
+        counter = PrefixSumCounter(view, attrs)
+        members = [groups[position] for position in positions]
+        for position, counts in zip(positions, _count_joint(members, counter)):
+            out[position] = counts
+        del counter
     return out
 
 
 def _count_groups_shard(view, payload):
     """Shard worker: count every group's candidates on one shard."""
-    groups, backends = payload
-    return count_groups(groups, backends, view)
+    groups, backends, cell_limit = payload
+    return count_groups(groups, backends, view, cell_limit)
 
 
 def _merge_group_counts(per_shard: list) -> list:
@@ -560,8 +670,9 @@ def count_itemsets(
     backends = resolve_group_backends(
         groups, mapper, backend, memory_budget_bytes
     )
+    cell_limit = joint_cell_limit(memory_budget_bytes)
     if executor is None and shards is None:
-        per_group = count_groups(groups, backends, mapper)
+        per_group = count_groups(groups, backends, mapper, cell_limit)
     else:
         if shards is None:
             shards = plan_shards(mapper.num_records)
@@ -571,7 +682,7 @@ def count_itemsets(
             mapper,
             shards,
             _count_groups_shard,
-            (groups, backends),
+            (groups, backends, cell_limit),
             stats=execution_stats,
             stage="count_itemsets",
             tracer=tracer,

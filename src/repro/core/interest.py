@@ -55,7 +55,7 @@ from .config import (
     SUPPORT_AND_CONFIDENCE,
     MinerConfig,
 )
-from .counting import PrefixSumCounter
+from .counting import JointCounters, joint_cell_limit
 from .frequent_items import FrequentItems
 from .items import Item
 from .mapper import TableMapper
@@ -106,10 +106,6 @@ class InterestFilterStage(PipelineStage):
         return {"interesting_rules": interesting}
 
 _EPS = 1e-9
-
-#: Skip the prefix-sum cache for signatures whose cell count would exceed
-#: this; fall back to per-itemset record scans instead.
-_COUNTER_CELL_LIMIT = 4_000_000
 
 
 @dataclass
@@ -169,7 +165,11 @@ class InterestEvaluator:
             sig = tuple(item.attribute for item in itemset)
             self._buckets.setdefault(sig, []).append(itemset)
         self._bucket_arrays: dict = {}
-        self._counters: dict = {}
+        # Signatures over the joint cell limit get ``None`` and fall
+        # back to per-itemset record scans.
+        self._counters = JointCounters(
+            mapper, joint_cell_limit(config.memory_budget_bytes)
+        )
         self._support_cache: dict = {}
         self._spec_cache: dict = {}
         self._diff_cache: dict = {}
@@ -198,7 +198,7 @@ class InterestEvaluator:
     def _count_itemset(self, itemset) -> float:
         if self._n == 0:
             return 0.0
-        counter = self._counter_for(
+        counter = self._counters.get(
             tuple(item.attribute for item in itemset)
         )
         if counter is not None:
@@ -211,23 +211,6 @@ class InterestEvaluator:
             cond = (col >= item.lo) & (col <= item.hi)
             mask = cond if mask is None else mask & cond
         return float(np.count_nonzero(mask)) / self._n
-
-    def _counter_for(self, attrs: tuple):
-        """Cached prefix-sum counter over an attribute tuple, or ``None``
-        when the joint table would be too large."""
-        counter = self._counters.get(attrs, False)
-        if counter is not False:
-            return counter
-        cells = 1
-        for a in attrs:
-            cells *= self._mapper.cardinality(a)
-        counter = (
-            PrefixSumCounter(self._mapper, attrs)
-            if cells <= _COUNTER_CELL_LIMIT
-            else None
-        )
-        self._counters[attrs] = counter
-        return counter
 
     def _projection(self, itemset, generalization) -> float:
         """``Π_i Pr(z_i) / Pr(ẑ_i)`` over corresponding items."""

@@ -260,6 +260,9 @@ class QuantitativeMiner:
         #: its job span so runs nest under their jobs).
         self._span_parent = span_parent
         self._cumulative_stage_seconds: dict = {}
+        #: ``(mapper, s)``: Equation 1's ``s`` and the mapper it was
+        #: measured on, so each mapper's columns are scanned once.
+        self._multi_value_support = None
         #: K measured at construction time — the anchor the append
         #: path's drift budget is relative to.
         self._baseline_completeness = self.realized_completeness(
@@ -503,25 +506,33 @@ class QuantitativeMiner:
         quantitative attributes; returns 1.0 (no loss) when every interval
         is a single value.
         """
-        quantitative = [
-            i
-            for i, m in enumerate(self._mapper.mappings)
-            if m.is_quantitative
-        ]
-        s = 0.0
-        for i in quantitative:
-            mapping = self._mapper.mapping(i)
-            if mapping.partitioning is None or not mapping.is_partitioned:
-                continue
-            s = max(
-                s,
-                mapping.partitioning.max_multi_value_support(
-                    self._table.column(i)
-                ),
-            )
-        return completeness_from_partitioning(
-            s, min_support, len(quantitative)
+        num_quantitative = sum(
+            m.is_quantitative for m in self._mapper.mappings
         )
+        return completeness_from_partitioning(
+            self._max_multi_value_support(), min_support, num_quantitative
+        )
+
+    def _max_multi_value_support(self) -> float:
+        """Equation 1's ``s`` for the current mapper, measured once.
+
+        Reuses the mapper's coded columns.  An append builds a new
+        mapper, so the grown table is measured again.
+        """
+        measured = self._multi_value_support
+        if measured is None or measured[0] is not self._mapper:
+            s = 0.0
+            for i, mapping in enumerate(self._mapper.mappings):
+                if mapping.is_partitioned:
+                    s = max(
+                        s,
+                        mapping.partitioning.max_multi_value_support(
+                            self._table.column(i), self._mapper.column(i)
+                        ),
+                    )
+            measured = (self._mapper, s)
+            self._multi_value_support = measured
+        return measured[1]
 
     def _completeness_budget(self) -> float:
         """The K level past which an append forces a re-partition.

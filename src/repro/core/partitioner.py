@@ -83,26 +83,33 @@ class Partitioning:
             return counts.astype(np.float64)
         return counts / len(column)
 
-    def max_multi_value_support(self, column) -> float:
+    def max_multi_value_support(self, column, codes=None) -> float:
         """Highest support among intervals spanning more than one value.
 
         This is the ``s`` of Equation 1.  Single-value intervals are
         excluded per the footnote in Section 3.2; for an unpartitioned
-        attribute every "interval" is one value, so s = 0.
+        attribute every "interval" is one value, so s = 0.  ``codes``,
+        when given, must equal ``assign(column)`` (a mapper's coded
+        column) and saves re-assigning.  One pass takes each interval's
+        min and max value: an interval spans several values iff its min
+        is below its max.
         """
         if not self.partitioned:
             return 0.0
         column = np.asarray(column, dtype=np.float64)
-        codes = self.assign(column)
+        if len(column) == 0:
+            return 0.0
+        if codes is None:
+            codes = self.assign(column)
+        lowest = np.full(self.num_intervals, np.inf)
+        highest = np.full(self.num_intervals, -np.inf)
+        np.minimum.at(lowest, codes, column)
+        np.maximum.at(highest, codes, column)
+        multi = lowest < highest
+        if not multi.any():
+            return 0.0
         supports = np.bincount(codes, minlength=self.num_intervals)
-        s = 0.0
-        for code in range(self.num_intervals):
-            if supports[code] == 0:
-                continue
-            in_interval = column[codes == code]
-            if np.unique(in_interval).size > 1:
-                s = max(s, supports[code] / len(column))
-        return s
+        return float(supports[multi].max() / len(column))
 
 
 def equi_depth(column, num_intervals: int) -> Partitioning:

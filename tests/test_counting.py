@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Item, MinerConfig, TableMapper, make_itemset
+from repro.core import counting
 from repro.core.counting import (
     BitmapIndex,
     _popcount_rows,
@@ -12,9 +13,13 @@ from repro.core.counting import (
     categorical_mask,
     choose_backend,
     count_frequent_pairs,
+    count_groups,
     count_itemsets,
     group_candidates,
+    resolve_group_backends,
 )
+from repro.engine.executor import SerialExecutor
+from repro.engine.shards import plan_shards
 from repro.table import RelationalTable, TableSchema, categorical, quantitative
 
 
@@ -348,3 +353,161 @@ class TestPassTwoSinglePath:
         tally = result.stats.counting_groups_by_backend
         assert set(tally) == {"array"}
         assert tally == reference.stats.counting_groups_by_backend
+
+
+# ----------------------------------------------------------------------
+# Pass >= 3: one joint prefix-sum table per attribute set
+# ----------------------------------------------------------------------
+@pytest.fixture
+def mixed_mapper():
+    """Two categorical and three quantitative attributes."""
+    rng = np.random.default_rng(31)
+    schema = TableSchema(
+        [
+            quantitative("a"),
+            categorical("c1", ("p", "q", "r")),
+            quantitative("b"),
+            categorical("c2", ("u", "v")),
+            quantitative("d"),
+        ]
+    )
+    n = 900
+    a = rng.integers(0, 6, n).astype(float)
+    c1 = rng.integers(0, 3, n).astype(np.int64)
+    b = np.clip(a + rng.integers(-2, 3, n), 0, 5).astype(float)
+    c2 = (a + rng.integers(0, 3, n) > 4).astype(np.int64)
+    d = rng.integers(0, 5, n).astype(float)
+    table = RelationalTable.from_columns(schema, [a, c1, b, c2, d])
+    return TableMapper(
+        table,
+        MinerConfig(min_support=0.05, num_partitions=6),
+    )
+
+
+QUANT = {0, 2, 4}
+
+
+def mixed_candidates(mapper, seed=5, per_set=6):
+    """Pass-3 and pass-4 itemsets with at least one quantitative item.
+
+    Several attribute sets, several categorical value combinations per
+    set (so groups share attribute sets), several ranges per group.
+    """
+    rng = np.random.default_rng(seed)
+    attribute_sets = [(0, 1, 2), (0, 2, 3), (1, 3, 4), (0, 1, 3, 4), (0, 2, 4)]
+    out = []
+    for attrs in attribute_sets:
+        for _ in range(per_set):
+            items = []
+            for a in attrs:
+                card = mapper.cardinality(a)
+                if a in QUANT:
+                    lo = int(rng.integers(0, card))
+                    hi = int(rng.integers(lo, card))
+                else:
+                    lo = hi = int(rng.integers(0, card))
+                items.append(Item(a, lo, hi))
+            itemset = make_itemset(items)
+            if itemset not in out:
+                out.append(itemset)
+    return out
+
+
+class _CountingBuilds:
+    """Records every :class:`PrefixSumCounter` build's attrs and mask."""
+
+    def __init__(self, monkeypatch):
+        self.builds = []
+        builds = self.builds
+
+        class Spy(PrefixSumCounter):
+            def __init__(self, mapper, attrs, mask=None):
+                builds.append((tuple(attrs), mask is not None))
+                super().__init__(mapper, attrs, mask)
+
+        monkeypatch.setattr(counting, "PrefixSumCounter", Spy)
+
+
+class TestJointCounting:
+    def test_one_counter_per_attribute_set(self, mixed_mapper, monkeypatch):
+        candidates = mixed_candidates(mixed_mapper)
+        groups = group_candidates(candidates, QUANT)
+        backends = resolve_group_backends(
+            groups, mixed_mapper, "array", 1 << 30
+        )
+        assert set(backends) == {"array"}
+        spy = _CountingBuilds(monkeypatch)
+        masks = []
+        real_mask = counting.categorical_mask
+        monkeypatch.setattr(
+            counting,
+            "categorical_mask",
+            lambda view, items: masks.append(items) or real_mask(view, items),
+        )
+        per_group = count_groups(groups, backends, mixed_mapper)
+
+        attribute_sets = {tuple(it.attribute for it in c) for c in candidates}
+        assert len(groups) > len(attribute_sets)  # sets are shared
+        assert sorted(attrs for attrs, _ in spy.builds) == sorted(
+            attribute_sets
+        )
+        assert not any(masked for _, masked in spy.builds)
+        assert masks == []
+        for group, counts in zip(groups, per_group):
+            assert counts == [
+                brute_support(mixed_mapper, c) for c in group.candidates
+            ]
+
+    def test_counters_are_per_call(self, mixed_mapper, monkeypatch):
+        candidates = mixed_candidates(mixed_mapper)
+        groups = group_candidates(candidates, QUANT)
+        backends = ["array"] * len(groups)
+        spy = _CountingBuilds(monkeypatch)
+        state = set(vars(mixed_mapper))
+        count_groups(groups, backends, mixed_mapper)
+        first = len(spy.builds)
+        count_groups(groups, backends, mixed_mapper)
+        # Nothing is cached on the view: the second call rebuilds.
+        assert len(spy.builds) == 2 * first
+        assert set(vars(mixed_mapper)) == state
+
+    @pytest.mark.parametrize("path", ["joint", "fallback"])
+    @pytest.mark.parametrize("shard_size", [None, 97, 400])
+    def test_matches_direct(self, mixed_mapper, monkeypatch, path, shard_size):
+        candidates = mixed_candidates(mixed_mapper, seed=9, per_set=10)
+        candidates.append(make_itemset([Item(1, 2, 2), Item(3, 0, 0)]))
+
+        def run(backend):
+            if shard_size is None:
+                return count_itemsets(candidates, mixed_mapper, QUANT, backend)
+            return count_itemsets(
+                candidates,
+                mixed_mapper,
+                QUANT,
+                backend,
+                executor=SerialExecutor(),
+                shards=plan_shards(
+                    mixed_mapper.num_records, shard_size=shard_size
+                ),
+            )
+
+        expected = run("direct")
+        if path == "fallback":
+            monkeypatch.setattr(counting, "JOINT_CELL_LIMIT", 0)
+        spy = _CountingBuilds(monkeypatch)
+        got = run("array")
+        assert got == expected
+        assert list(got) == list(expected)
+        for itemset, count in got.items():
+            assert count == brute_support(mixed_mapper, itemset)
+        # Every categorical conjunct joined the table on the joint path;
+        # the fallback masks records per group instead.
+        has_categorical = any(
+            set(attrs) - QUANT for attrs, _ in spy.builds
+        )
+        assert has_categorical == (path == "joint")
+
+    def test_memory_budget_caps_the_joint_table(self, mixed_mapper):
+        assert counting.joint_cell_limit(1 << 40) == counting.JOINT_CELL_LIMIT
+        assert counting.joint_cell_limit(800) == 100
+        assert counting.joint_cells(mixed_mapper, (0, 1, 2)) == 6 * 3 * 6

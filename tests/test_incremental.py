@@ -237,6 +237,110 @@ class TestMinerAppend:
 
 
 # ----------------------------------------------------------------------
+# Realized K (Equation 1), measured once per mapper
+# ----------------------------------------------------------------------
+WIDE = TableSchema([quantitative("x"), quantitative("y")])
+
+
+def wide_rows(n, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        (float(x), float(y))
+        for x, y in zip(rng.integers(0, 1000, n), rng.integers(0, 1000, n))
+    ]
+
+
+def reference_k(miner, config):
+    """Equation 1 on the miner's live table and partitionings, by
+    per-interval ``np.unique``."""
+    from repro.core import completeness_from_partitioning
+
+    s = 0.0
+    for i, mapping in enumerate(miner.mapper.mappings):
+        part = mapping.partitioning
+        column = miner.mapper.table.column(i)
+        codes = part.assign(column)
+        for code in range(part.num_intervals):
+            values = column[codes == code]
+            if np.unique(values).size > 1:
+                s = max(s, len(values) / len(column))
+    return completeness_from_partitioning(s, config.min_support, 2)
+
+
+class _CountMeasurements:
+    def __init__(self, monkeypatch):
+        from repro.core.partitioner import Partitioning
+
+        self.calls = 0
+        real = Partitioning.max_multi_value_support
+
+        def counted(part, column, codes=None):
+            self.calls += 1
+            return real(part, column, codes)
+
+        monkeypatch.setattr(
+            Partitioning, "max_multi_value_support", counted
+        )
+
+
+class TestRealizedK:
+    def test_measured_once_per_miner(self, monkeypatch):
+        config = incremental_config(num_partitions=8)
+        table = RelationalTable.from_records(WIDE, wide_rows(300, seed=1))
+        spy = _CountMeasurements(monkeypatch)
+        miner = QuantitativeMiner(table, config)
+        partitioned = sum(m.is_partitioned for m in miner.mapper.mappings)
+        assert partitioned == 2
+        assert spy.calls == partitioned  # __init__
+        result = miner.mine()
+        miner.mine()
+        miner.realized_completeness(0.5)
+        assert spy.calls == partitioned
+        assert result.stats.realized_completeness == reference_k(
+            miner, config
+        )
+
+    def test_kept_partitioning_remeasures_grown_table(self, monkeypatch):
+        config = incremental_config(num_partitions=8)
+        rows = wide_rows(300, seed=2)
+        miner = QuantitativeMiner(
+            RelationalTable.from_records(WIDE, rows), config
+        )
+        before = miner.realized_completeness(config.min_support)
+        edges = miner.mapper.mapping(0).partitioning.edges
+        # Distinct values inside x's first interval grow its support.
+        inside = np.linspace(edges[0], edges[1], 8, endpoint=False)
+        spy = _CountMeasurements(monkeypatch)
+        report = miner.append([(float(v), 500.0) for v in inside])
+        assert not report.repartitioned
+        assert miner.mapper.mapping(0).partitioning.edges == edges
+        assert spy.calls == 2  # the grown table, once
+        assert report.realized_completeness == reference_k(miner, config)
+        assert report.realized_completeness > before
+        miner.mine()
+        assert spy.calls == 2
+
+    def test_drift_past_budget_repartitions(self):
+        config = incremental_config(
+            num_partitions=8,
+            incremental=IncrementalConfig(
+                enabled=True, shard_size=32, k_drift_budget=0.05
+            ),
+        )
+        miner = QuantitativeMiner(
+            RelationalTable.from_records(WIDE, wide_rows(300, seed=3)),
+            config,
+        )
+        edges = miner.mapper.mapping(0).partitioning.edges
+        inside = np.linspace(edges[0], edges[1], 200, endpoint=False)
+        report = miner.append([(float(v), 500.0) for v in inside])
+        assert report.repartitioned
+        assert "drifted past" in report.reason
+        assert report.realized_completeness == reference_k(miner, config)
+        assert miner.mapper.mapping(0).partitioning.edges != edges
+
+
+# ----------------------------------------------------------------------
 # Property: incremental re-mine == cold mine of the concatenated table
 # ----------------------------------------------------------------------
 class TestIncrementalEquivalence:

@@ -115,12 +115,12 @@ class TestAutoBackendHeuristic:
 
 
 class TestInterestCounterFallback:
-    def test_large_signature_uses_mask_scan(self):
+    def test_large_signature_uses_mask_scan(self, monkeypatch):
         """When the joint table would exceed the cell limit, on-demand
         supports fall back to record scans — results must agree."""
         from repro.core import InterestEvaluator
         from repro.core.apriori_quant import find_frequent_itemsets
-        import repro.core.interest as interest_module
+        import repro.core.counting as counting_module
 
         rng = np.random.default_rng(2)
         schema = TableSchema([quantitative("x"), quantitative("y")])
@@ -141,11 +141,9 @@ class TestInterestCounterFallback:
         probe = make_itemset([Item(0, 0, 3), Item(1, 0, 3)])
         fast = evaluator.itemset_support(probe)
 
-        original = interest_module._COUNTER_CELL_LIMIT
-        interest_module._COUNTER_CELL_LIMIT = 1  # force the mask path
-        try:
-            slow_eval = InterestEvaluator(counts, freq, mapper, config)
-            slow = slow_eval.itemset_support(probe)
-        finally:
-            interest_module._COUNTER_CELL_LIMIT = original
+        assert evaluator._counters.get((0, 1)) is not None
+        monkeypatch.setattr(counting_module, "JOINT_CELL_LIMIT", 1)
+        slow_eval = InterestEvaluator(counts, freq, mapper, config)
+        slow = slow_eval.itemset_support(probe)
+        assert slow_eval._counters.get((0, 1)) is None  # the mask path
         assert fast == pytest.approx(slow)

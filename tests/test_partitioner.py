@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import equi_depth, equi_width, partition_column
+from repro.core import Partitioning, equi_depth, equi_width, partition_column
 
 
 class TestEquiDepth:
@@ -135,3 +137,63 @@ class TestMaxMultiValueSupport:
         part = Partitioning(edges=(0.0, 5.0, 6.5), partitioned=True)
         s = part.max_multi_value_support(column)
         assert s == pytest.approx(0.1)
+
+
+def reference_multi_value_support(part, column) -> float:
+    """Equation 1's ``s`` by one ``np.unique`` per interval."""
+    if not part.partitioned:
+        return 0.0
+    codes = part.assign(column)
+    supports = np.bincount(codes, minlength=part.num_intervals)
+    s = 0.0
+    for code in range(part.num_intervals):
+        if supports[code] == 0:
+            continue
+        if np.unique(column[codes == code]).size > 1:
+            s = max(s, supports[code] / len(column))
+    return s
+
+
+# Heavy repeats (a handful of values, one of them dominant) and wide
+# columns of mostly distinct values; negative zero rides along.
+_values = st.one_of(
+    st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, 2.5, 7.0]), min_size=1, max_size=80
+    ),
+    st.lists(
+        st.integers(-1000, 1000).map(float), min_size=1, max_size=80
+    ),
+    st.tuples(
+        st.integers(1, 60), st.lists(st.floats(-5, 5), max_size=20)
+    ).map(lambda t: [3.0] * t[0] + t[1]),
+)
+
+
+class TestMaxMultiValueSupportProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=_values,
+        intervals=st.integers(1, 12),
+        method=st.sampled_from(["equidepth", "equiwidth", "equicardinality"]),
+    )
+    def test_matches_per_interval_unique(self, values, intervals, method):
+        column = np.array(values, dtype=float)
+        part = partition_column(column, intervals, method)
+        expected = reference_multi_value_support(part, column)
+        assert part.max_multi_value_support(column) == expected
+        codes = part.assign(column)
+        assert part.max_multi_value_support(column, codes) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 9).map(float), min_size=1, max_size=60),
+        cuts=st.lists(st.integers(1, 9), min_size=0, max_size=6, unique=True),
+    )
+    def test_explicit_edges_with_single_value_intervals(self, values, cuts):
+        # Unit-width intervals over integer data hold one value each;
+        # random cut points mix them with multi-value intervals.
+        edges = tuple(float(e) for e in sorted({0, 10, *cuts}))
+        part = Partitioning(edges=edges, partitioned=True)
+        column = np.array(values, dtype=float)
+        expected = reference_multi_value_support(part, column)
+        assert part.max_multi_value_support(column) == expected
